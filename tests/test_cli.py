@@ -33,6 +33,13 @@ GOLDEN_CASES = [
       "--seed", "42", "--format", "json"]),
 ]
 
+# The same requests rendered as csv and pretty text, pinned byte for byte.
+RENDER_CASES = [
+    (fname.replace(".json", ext), argv[:-1] + [fmt])
+    for fname, argv in GOLDEN_CASES
+    for fmt, ext in (("csv", ".csv"), ("pretty", ".txt"))
+]
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -40,8 +47,8 @@ def run_cli(argv, capsys):
     return code, out
 
 
-@pytest.mark.parametrize("fname,argv", GOLDEN_CASES,
-                         ids=[f for f, _ in GOLDEN_CASES])
+@pytest.mark.parametrize("fname,argv", GOLDEN_CASES + RENDER_CASES,
+                         ids=[f for f, _ in GOLDEN_CASES + RENDER_CASES])
 def test_golden_output(fname, argv, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 0
