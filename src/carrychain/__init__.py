@@ -16,7 +16,7 @@ from .eulerian import (
     triangle_recurrence,
     v_closed,
 )
-from .exactmath import ExactMatrix, ExactPolynomial, Rational, char_poly, determinant
+from .exactmath import ExactMatrix, ExactPolynomial, char_poly, determinant
 from .numeration import NumerationSystem, RepresentableClass, evaluate, expand
 from .simulate import SimConfig, SimResult, run_chain, tv_distance
 from .spectral import (
@@ -38,7 +38,6 @@ __all__ = [
     "ExactMatrix",
     "ExactPolynomial",
     "NumerationSystem",
-    "Rational",
     "RepresentableClass",
     "SimConfig",
     "SimResult",

@@ -12,7 +12,6 @@ definition-level brute-force count that also accepts arbitrary digit sets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,26 +81,21 @@ def transition_matrix(spec: ChainSpec) -> ExactMatrix:
     m = state_space(spec).size
     bn = b ** n
     if sys_.negative:
-        # Offset from the floor of (n-1)l cleared against the modulus b+1.
-        rho = ((n - 1) * (-d - b)) % (b + 1)
-
-        def entry(i: int, j: int) -> Fraction:
-            total = sum(
-                (-1) ** r * math.comb(n + 1, r)
-                * _count_binom(n + b * (n - j - r) + rho - 1 - i, n)
-                for r in range(n + 2))
-            return Fraction(total, bn)
+        # Positive-base formula on mirrored columns, offset cleared mod b+1.
+        e = ((n - 1) * (-d - b)) % (b + 1) - 1
+        cols = [n - j for j in range(m)]
     else:
         e = ((n - 1) * (-d)) % (b - 1) or (b - 1)
+        cols = range(m)
 
-        def entry(i: int, j: int) -> Fraction:
-            total = sum(
-                (-1) ** r * math.comb(n + 1, r)
-                * _count_binom(n + b * (j - r) + e - i, n)
-                for r in range(j + 1))
-            return Fraction(total, bn)
+    def entry(i: int, j: int) -> Fraction:
+        total = sum(
+            (-1) ** r * math.comb(n + 1, r)
+            * _count_binom(n + b * (j - r) + e - i, n)
+            for r in range(j + 1))
+        return Fraction(total, bn)
 
-    return ExactMatrix([[entry(i, j) for j in range(m)] for i in range(m)])
+    return ExactMatrix([[entry(i, j) for j in cols] for i in range(m)])
 
 
 def _digit_sum_counts(digit_set: list[int], n: int) -> dict[int, int]:
@@ -116,21 +110,10 @@ def _digit_sum_counts(digit_set: list[int], n: int) -> dict[int, int]:
     return counts
 
 
-def _digit_sum_counts_naive(digit_set: list[int], n: int) -> dict[int, int]:
-    """Second-tier oracle: direct enumeration of all |D|^n digit tuples."""
-    counts: dict[int, int] = {}
-    for tup in itertools.product(digit_set, repeat=n):
-        s = sum(tup)
-        counts[s] = counts.get(s, 0) + 1
-    return counts
-
-
 def transition_matrix_bruteforce(
     base: int,
     digit_set: list[int],
     n: int,
-    *,
-    naive: bool = False,
 ) -> tuple[list[int], ExactMatrix]:
     """Definition-level oracle: (states, matrix) for an arbitrary digit set.
 
@@ -151,8 +134,7 @@ def transition_matrix_bruteforce(
                 f"digits {residue[a % b]} and {a} collide mod {b}")
         residue[a % b] = a
 
-    counts = (_digit_sum_counts_naive if naive else _digit_sum_counts)(
-        list(digit_set), n)
+    counts = _digit_sum_counts(list(digit_set), n)
 
     def step(c: int, total: int) -> int:
         r = (c + total) % b
@@ -161,15 +143,17 @@ def transition_matrix_bruteforce(
                 f"no digit with residue {r} mod {b}; digit set is incomplete")
         return (c + total - residue[r]) // base
 
-    cap = 10 * (max(abs(x) for x in digit_set) + b)
+    # S in [n*lo, n*hi] and a in [lo, hi] map [-R, R] into itself, either sign.
+    lo, hi = min(digit_set), max(digit_set)
+    R = -(-max(n * hi - lo, hi - n * lo) // (b - 1))
     states = {0}
     frontier = {0}
     while frontier:
         new = {step(c, total) for c in frontier for total in counts}
         frontier = new - states
         states |= frontier
-        if len(states) > cap:
-            raise RuntimeError("carry closure exceeded safety cap")
+        if any(abs(c) > R for c in frontier):
+            raise RuntimeError(f"carry beyond the proven bound {R} (internal error)")
     ordered = sorted(states)
     index = {c: i for i, c in enumerate(ordered)}
     m = len(ordered)

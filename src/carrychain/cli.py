@@ -1,7 +1,7 @@
 """Command-line front end with machine-readable output.
 
 Every subcommand emits a single OutputDocument: JSON (default for piping),
-CSV, or an aligned pretty table. Rationals are serialized as decimal-string
+CSV, or an aligned pretty table. Fractions are serialized as decimal-string
 pairs {"num": ..., "den": ...} so exactness survives any JSON consumer.
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error.
@@ -76,12 +76,10 @@ def render(doc: dict, fmt: str, stream) -> None:
     if fmt == "json":
         json.dump(_jsonify(doc), stream, indent=2)
         stream.write("\n")
-        return
-    payload = doc["payload"]
-    if fmt == "csv":
-        _render_csv(doc["command"], payload, stream)
+    elif fmt == "csv":
+        _emit_csv(_fields(doc["payload"]), stream)
     else:
-        _render_pretty(doc["command"], payload, stream)
+        _emit_pretty(doc["command"], _fields(doc["payload"]), stream)
 
 
 def _cell(value) -> str:
@@ -92,48 +90,51 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_csv(command: str, payload: dict, stream) -> None:
+def _fields(payload: dict):
+    """Yield (key, kind, cells) per payload field: kind "table" with rows of
+    text cells, "mapping" with (name, text) pairs, or "line" with text cells."""
+    for key, value in payload.items():
+        if isinstance(value, ExactMatrix):
+            value = value.to_lists()
+        if isinstance(value, list) and value and isinstance(value[0], list):
+            yield key, "table", [[_cell(x) for x in row] for row in value]
+        elif isinstance(value, list):
+            yield key, "line", [_cell(x) for x in value]
+        elif isinstance(value, dict):
+            yield key, "mapping", [(k, _cell(v)) for k, v in value.items()]
+        else:
+            yield key, "line", [_cell(value)]
+
+
+def _emit_csv(fields, stream) -> None:
     import csv
 
     writer = csv.writer(stream, lineterminator="\n")
-    for key, value in payload.items():
-        if isinstance(value, ExactMatrix):
-            value = value.to_lists()
-        if (isinstance(value, list) and value
-                and isinstance(value[0], (list, tuple))):
-            writer.writerow([key])
-            for row in value:
-                writer.writerow([_cell(x) for x in row])
-        elif isinstance(value, (list, tuple)):
-            writer.writerow([key, *[_cell(x) for x in value]])
-        elif isinstance(value, dict):
-            writer.writerow([key, *[f"{k}={_cell(v)}" for k, v in value.items()]])
+    for key, kind, cells in fields:
+        if kind == "table":
+            writer.writerows([[key], *cells])
+        elif kind == "mapping":
+            writer.writerow([key, *[f"{k}={v}" for k, v in cells]])
         else:
-            writer.writerow([key, _cell(value)])
+            writer.writerow([key, *cells])
 
 
-def _render_pretty(command: str, payload: dict, stream) -> None:
+def _emit_pretty(command: str, fields, stream) -> None:
     stream.write(f"{command}\n")
-    for key, value in payload.items():
-        if isinstance(value, ExactMatrix):
-            value = value.to_lists()
-        if (isinstance(value, list) and value
-                and isinstance(value[0], (list, tuple))):
+    for key, kind, cells in fields:
+        if kind == "table":
             stream.write(f"{key}:\n")
-            cells = [[_cell(x) for x in row] for row in value]
             widths = [max(len(row[j]) for row in cells if j < len(row))
                       for j in range(max(len(r) for r in cells))]
             for row in cells:
                 stream.write("  " + "  ".join(
                     cell.rjust(widths[j]) for j, cell in enumerate(row)) + "\n")
-        elif isinstance(value, (list, tuple)):
-            stream.write(f"{key}: " + " ".join(_cell(x) for x in value) + "\n")
-        elif isinstance(value, dict):
+        elif kind == "mapping":
             stream.write(f"{key}:\n")
-            for k, v in value.items():
-                stream.write(f"  {k}: {_cell(v)}\n")
+            for k, v in cells:
+                stream.write(f"  {k}: {v}\n")
         else:
-            stream.write(f"{key}: {_cell(value)}\n")
+            stream.write(f"{key}: " + " ".join(cells) + "\n")
 
 
 def _document(command: str, inputs: dict, payload: dict) -> dict:

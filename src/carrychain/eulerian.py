@@ -47,6 +47,8 @@ def triangle_recurrence(n_max: int, p) -> list[list[Fraction]]:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     p = Fraction(p)
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     rows = [[Fraction(1)]]
     for n in range(1, n_max + 1):
         prev = rows[-1] + [Fraction(0)]

@@ -10,9 +10,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
-
 def _as_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -50,9 +47,6 @@ class ExactMatrix:
         i, j = ij
         return self._data[i][j]
 
-    def row(self, i: int) -> list[Fraction]:
-        return list(self._data[i])
-
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self._data]
 
@@ -60,21 +54,12 @@ class ExactMatrix:
         return (isinstance(other, ExactMatrix)
                 and self._data == other._data)
 
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self._data))
-
     def __repr__(self) -> str:
         return f"ExactMatrix({self._data!r})"
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in addition")
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self._data, other._data)])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -95,9 +80,6 @@ class ExactMatrix:
         return ExactMatrix([[sum(a * b for a, b in zip(row, col))
                              for col in bt] for row in self._data])
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([list(col) for col in zip(*self._data)])
-
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
@@ -106,10 +88,6 @@ class ExactMatrix:
 
     def row_sums(self) -> list[Fraction]:
         return [sum(row, Fraction(0)) for row in self._data]
-
-
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b
 
 
 def determinant(a: ExactMatrix) -> Fraction:
@@ -170,9 +148,6 @@ class ExactPolynomial:
         return (isinstance(other, ExactPolynomial)
                 and self.coefficients == other.coefficients)
 
-    def __hash__(self):
-        return hash(tuple(self.coefficients))
-
     def __repr__(self) -> str:
         return f"ExactPolynomial({self.coefficients!r})"
 
@@ -224,11 +199,13 @@ def char_poly(a: ExactMatrix) -> ExactPolynomial:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = a.rows
     coeffs_desc = [Fraction(1)]
-    m = ExactMatrix([[Fraction(0)] * n for _ in range(n)])
-    c = Fraction(1)
-    ident = ExactMatrix.identity(n)
+    m = ExactMatrix.identity(n).to_lists()
     for k in range(1, n + 1):
-        m = a @ m + ident.scale(c)
-        c = -(a @ m).trace() / k
+        # A M_k, computed once, gives c_k and M_{k+1} = A M_k + c_k I.
+        product = a @ ExactMatrix(m)
+        c = -product.trace() / k
         coeffs_desc.append(c)
+        m = product.to_lists()
+        for i in range(n):
+            m[i][i] += c
     return ExactPolynomial(list(reversed(coeffs_desc)))

@@ -97,10 +97,10 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
         not bad_rows,
         "" if not bad_rows else f"rows {bad_rows} sum to {[sums[i] for i in bad_rows]}")
 
-    lhs = V @ P
-    rhs = ExactMatrix.diagonal(spectrum) @ V
-    verdicts["eigenvector_equation"] = CheckResult(
-        lhs == rhs, _first_diff(lhs, rhs))
+    DV = ExactMatrix([[lam * x for x in row]
+                      for lam, row in zip(spectrum, V.to_lists())])
+    diff = _first_diff(V @ P, DV)
+    verdicts["eigenvector_equation"] = CheckResult(not diff, diff)
 
     det = determinant(V)
     verdicts["eigenbasis_nonsingular"] = CheckResult(

@@ -14,19 +14,21 @@ import math
 from fractions import Fraction
 
 
+def _cdf(n: int, x):
+    # Irwin-Hall sum: exact for a Fraction x, double precision for a float x.
+    if x <= 0:
+        return type(x)(0)
+    if x >= n:
+        return type(x)(1)
+    return sum((-1) ** k * math.comb(n, k) * (x - k) ** n
+               for k in range(math.floor(x) + 1)) / math.factorial(n)
+
+
 def irwin_hall_cdf(n: int, x) -> Fraction:
     """Pr(sum of n i.i.d. uniform [0,1] variables <= x), exact for rational x."""
     if n < 1:
         raise ValueError(f"need at least one summand, got n={n}")
-    x = Fraction(x)
-    if x <= 0:
-        return Fraction(0)
-    if x >= n:
-        return Fraction(1)
-    total = sum(((-1) ** k * math.comb(n, k) * (x - k) ** n
-                 for k in range(math.floor(x) + 1)),
-                Fraction(0))
-    return total / math.factorial(n)
+    return _cdf(n, Fraction(x))
 
 
 def interval_prob(n: int, p, k: int) -> Fraction:
@@ -44,12 +46,4 @@ def interval_prob_float(n: int, p: float, k: int) -> float:
     parameters outside the rational theory. Use interval_prob for anything
     that feeds a test or a verification.
     """
-    def cdf(x: float) -> float:
-        if x <= 0:
-            return 0.0
-        if x >= n:
-            return 1.0
-        return sum((-1) ** k_ * math.comb(n, k_) * (x - k_) ** n
-                   for k_ in range(math.floor(x) + 1)) / math.factorial(n)
-
-    return cdf(1 / p + k) - cdf(1 / p + k - 1)
+    return _cdf(n, 1 / p + k) - _cdf(n, 1 / p + k - 1)

@@ -1,11 +1,16 @@
 """Tests for carry-chain state spaces, parameters, and transition matrices."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carrychain.carries import (
     ChainSpec,
+    _digit_sum_counts,
     find_system,
     p_param,
     state_space,
@@ -94,12 +99,24 @@ def test_bruteforce_matches_formula_small_grid():
                     assert P == transition_matrix(s), (b, d, n, negative)
 
 
-def test_bruteforce_naive_path_agrees():
-    states, P = transition_matrix_bruteforce(5, [-1, 0, 1, 2, 3], 3)
-    naive_states, naive_P = transition_matrix_bruteforce(
-        5, [-1, 0, 1, 2, 3], 3, naive=True)
-    assert states == naive_states
-    assert P == naive_P
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bruteforce_matches_formula_random_systems(data):
+    b = data.draw(st.integers(2, 40), label="b")
+    d = data.draw(st.integers(-(b - 1), 0), label="d")
+    n = data.draw(st.integers(1, 12), label="n")
+    s = spec(b, d, n, negative=data.draw(st.booleans(), label="negative"))
+    states, P = transition_matrix_bruteforce(s.system.base, s.system.digits, n)
+    assert states == state_space(s).states
+    assert P == transition_matrix(s)
+
+
+def test_digit_sum_counts_match_enumeration():
+    # The oracle's convolution against all |D|^n digit tuples.
+    for digits, n in (([-1, 0, 1, 2, 3], 3), ([-1, 0, 4], 4), ([0, 1], 7),
+                      ([-2, 0, 1, 7, 9], 3)):
+        tuples = itertools.product(digits, repeat=n)
+        assert _digit_sum_counts(digits, n) == dict(Counter(map(sum, tuples)))
 
 
 def test_bruteforce_sparse_digit_set():

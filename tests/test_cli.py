@@ -7,7 +7,9 @@ import pytest
 
 import carrychain.cli as cli
 import carrychain.spectral
+from carrychain.carries import ChainSpec, transition_matrix
 from carrychain.exactmath import ExactMatrix
+from carrychain.numeration import NumerationSystem
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -105,12 +107,24 @@ def test_usage_errors_exit_two(capsys):
                     "--steps", "0", "--seed", "1"], capsys)[0] == 2
     assert run_cli(["find-system", "--p", "2", "--n", "1"], capsys)[0] == 2
     assert run_cli(["matrix", "--base", "3", "--n", "2"], capsys)[0] == 2
+    assert run_cli(["triangle", "--p", "1/2", "--n-max", "2"], capsys)[0] == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["triangle", "--p", "two", "--n-max", "3"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["triangle", "--p", "1/0", "--n-max", "3"])
     assert exc.value.code == 2
+
+
+def test_matrix_digits_carry_window_grows_with_n(capsys):
+    # Carries of 40 binary summands reach 39, far past any fixed cap.
+    code, out = run_cli(["matrix", "--base", "2", "--digits=0,1", "--n", "40",
+                         "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["states"] == list(range(40))
+    closed = transition_matrix(ChainSpec(NumerationSystem(2, 0), 40))
+    assert payload["matrix"] == cli._jsonify(closed)
 
 
 def test_find_system_p_one(capsys):

@@ -67,6 +67,11 @@ def test_v_closed_index_validation():
         v_closed(3, 2, 0, 5)
 
 
+def test_triangle_rejects_p_below_one():
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        triangle_recurrence(2, Fraction(1, 2))
+
+
 def test_closed_form_matches_recurrence():
     for p in P_GRID:
         rows = triangle_recurrence(8, p)
