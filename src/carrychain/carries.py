@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .eulerian import alternating_sums
 from .exactmath import ExactMatrix
 from .numeration import NumerationSystem
 
@@ -88,14 +89,11 @@ def transition_matrix(spec: ChainSpec) -> ExactMatrix:
         e = ((n - 1) * (-d)) % (b - 1) or (b - 1)
         cols = range(m)
 
-    def entry(i: int, j: int) -> Fraction:
-        total = sum(
-            (-1) ** r * math.comb(n + 1, r)
-            * _count_binom(n + b * (j - r) + e - i, n)
-            for r in range(j + 1))
-        return Fraction(total, bn)
-
-    return ExactMatrix([[entry(i, j) for j in cols] for i in range(m)])
+    top = max(cols)
+    return ExactMatrix.from_int_rows(
+        [alternating_sums(n, [_count_binom(n + b * t + e - i, n)
+                              for t in range(top + 1)], cols)
+         for i in range(m)], [bn] * m)
 
 
 def _digit_sum_counts(digit_set: list[int], n: int) -> dict[int, int]:
@@ -133,6 +131,8 @@ def transition_matrix_bruteforce(
             raise ValueError(
                 f"digits {residue[a % b]} and {a} collide mod {b}")
         residue[a % b] = a
+    if n < 1:
+        raise ValueError(f"need at least one summand, got n={n}")
 
     counts = _digit_sum_counts(list(digit_set), n)
 
@@ -157,12 +157,11 @@ def transition_matrix_bruteforce(
     ordered = sorted(states)
     index = {c: i for i, c in enumerate(ordered)}
     m = len(ordered)
-    denom = len(digit_set) ** n
-    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for c in ordered:
         for total, w in counts.items():
-            rows[index[c]][index[step(c, total)]] += Fraction(w, denom)
-    return ordered, ExactMatrix(rows)
+            rows[index[c]][index[step(c, total)]] += w
+    return ordered, ExactMatrix.from_int_rows(rows, [len(digit_set) ** n] * m)
 
 
 def find_system(n: int, p: Fraction) -> NumerationSystem:

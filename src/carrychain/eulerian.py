@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 
 def v_closed(n: int, p, i: int, j: int) -> Fraction:
@@ -30,6 +31,16 @@ def v_closed(n: int, p, i: int, j: int) -> Fraction:
         ((-1) ** r * comb(n + 1, r) * (p * (j - r) + 1) ** (n - i)
          for r in range(j + 1)),
         Fraction(0))
+
+
+def alternating_sums(n: int, f: list[int], cols) -> list[int]:
+    """sum_{r=0..j} (-1)^r C(n+1, r) f[j-r] for each j in cols, in ints.
+
+    v_closed's sum in integers, behind the eigenvector rows, the stationary
+    vector and the closed-form transition matrix; f needs max(cols)+1 values.
+    """
+    signed = [(-1) ** r * comb(n + 1, r) for r in range(len(f))]
+    return [sum(map(mul, signed[:j + 1], reversed(f[:j + 1]))) for j in cols]
 
 
 def eulerian_array(n: int, p) -> list[list[Fraction]]:
@@ -60,66 +71,10 @@ def triangle_recurrence(n_max: int, p) -> list[list[Fraction]]:
     return rows
 
 
-def array_recurrence_check(n: int, p) -> list[tuple[int, int]]:
-    """Index pairs (i, j) where the array recurrence fails; expected empty.
-
-    Checks v[i][j](n) = (p(n+1-j) - 1) v[i][j-1](n-1) + (pj+1) v[i][j](n-1)
-    for all 0 <= i <= n-1 and 0 <= j <= n.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1 to compare with n-1, got {n}")
-    p = Fraction(p)
-    bad = []
-    for i in range(n):
-        for j in range(n + 1):
-            lhs = v_closed(n, p, i, j)
-            rhs = ((p * (n + 1 - j) - 1) * v_closed(n - 1, p, i, j - 1)
-                   + (p * j + 1)
-                   * (v_closed(n - 1, p, i, j) if j <= n else Fraction(0)))
-            if lhs != rhs:
-                bad.append((i, j))
-    return bad
-
-
 def row_sums(n: int, p) -> list[Fraction]:
     """Sum over j of v[i][j] for each i: p^n n! at i = 0 and 0 for i > 0."""
     return [sum((v_closed(n, p, i, j) for j in range(n + 2)), Fraction(0))
             for i in range(n + 1)]
-
-
-def conjugate_parameter(p) -> Fraction:
-    """The p* with 1/p + 1/p* = 1, pairing a triangle with its reflection."""
-    p = Fraction(p)
-    if p <= 1:
-        raise ValueError(f"no finite conjugate for p={p}; need p > 1")
-    return p / (p - 1)
-
-
-def symmetry_check(n: int, p) -> list[tuple[int, int]]:
-    """Index pairs where the reflection identity fails; expected empty.
-
-    For p = 1: v[i][n-1-j] = (-1)^i v[i][j] over 0 <= i, j <= n-1, the
-    index square that actually enters the n-state eigenvector matrix (the
-    identity genuinely fails on the extra row i = n).
-    For p > 1: v*[i][n-j] = (-1)^i (p*/p)^(n-i) v[i][j] over 0 <= i, j <= n,
-    where v* is the array of the conjugate parameter p*.
-    """
-    p = Fraction(p)
-    bad = []
-    if p == 1:
-        for i in range(n):
-            for j in range(n):
-                if v_closed(n, 1, i, n - 1 - j) != (-1) ** i * v_closed(n, 1, i, j):
-                    bad.append((i, j))
-        return bad
-    ps = conjugate_parameter(p)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            lhs = v_closed(n, ps, i, n - j)
-            rhs = (-1) ** i * (ps / p) ** (n - i) * v_closed(n, p, i, j)
-            if lhs != rhs:
-                bad.append((i, j))
-    return bad
 
 
 def stationary(n: int, p) -> list[Fraction]:
@@ -130,6 +85,9 @@ def stationary(n: int, p) -> list[Fraction]:
     truncates to the n genuine states.
     """
     p = Fraction(p)
-    total = p ** n * factorial(n)
+    k, l = p.numerator, p.denominator
     m = n + 1 if p != 1 else n
-    return [v_closed(n, p, 0, j) / total for j in range(m)]
+    # v[0][j] = W[0][j] / L^n and p^n n! = K^n n! / L^n.
+    total = k ** n * factorial(n)
+    return [Fraction(w, total) for w in
+            alternating_sums(n, [(k * t + l) ** n for t in range(m)], range(m))]

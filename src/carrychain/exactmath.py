@@ -1,128 +1,144 @@
 """Exact dense matrices and polynomials over arbitrary-precision rationals.
 
-Scalars are ``fractions.Fraction`` throughout: always normalized (positive
-denominator, gcd 1), so equality of results is plain ``==``.
+A matrix row is a list of ints over one positive denominator, reduced so
+that gcd(den, *row) == 1 (a zero row has denominator 1). The form is
+canonical, so equality is list equality, and all matrix arithmetic runs on
+ints; Fractions appear only where values enter or leave a matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from math import gcd, lcm, prod
+from operator import mul
+from typing import Sequence
 
-def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+# A Mersenne prime: det mod it certifies nonsingularity (see is_nonsingular).
+_PRIME = (1 << 61) - 1
 
 
 class ExactMatrix:
-    """Dense row-major matrix of exact rationals."""
+    """Dense row-major matrix of exact rationals, stored as reduced int rows."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = [[_as_rational(x) for x in row] for row in entries]
+        rows = [[Fraction(x) for x in row] for row in entries]
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and column")
-        ncols = len(rows[0])
-        if any(len(row) != ncols for row in rows):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged rows")
-        self.rows = len(rows)
-        self.cols = ncols
-        self._data = rows
+        # Over the lcm of its reduced denominators a row is already reduced.
+        self._den = [lcm(*(x.denominator for x in row)) for row in rows]
+        self._num = [[x.numerator * (d // x.denominator) for x in row]
+                     for row, d in zip(rows, self._den)]
+        self.rows, self.cols = len(rows), len(rows[0])
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values: Iterable) -> "ExactMatrix":
-        vals = [_as_rational(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else Fraction(0) for j in range(n)]
-                    for i in range(n)])
+    def from_int_rows(cls, num: list[list[int]], den: list[int]) -> "ExactMatrix":
+        """Matrix whose row i is num[i] / den[i]; rows of equal length, den > 0."""
+        g = [gcd(d, *row) for row, d in zip(num, den)]
+        out = cls.__new__(cls)
+        out._num = [[x // gi for x in row] for row, gi in zip(num, g)]
+        out._den = [d // gi for d, gi in zip(den, g)]
+        out.rows, out.cols = len(num), len(num[0])
+        return out
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._data[i][j]
+        return Fraction(self._num[i][j], self._den[i])
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._data]
+        return [[Fraction(x, d) for x in row]
+                for row, d in zip(self._num, self._den)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix)
-                and self._data == other._data)
+                and self._den == other._den and self._num == other._num)
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self._data!r})"
+        return f"ExactMatrix({self.to_lists()!r})"
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in subtraction")
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self._data, other._data)])
-
-    def scale(self, c) -> "ExactMatrix":
-        c = _as_rational(c)
-        return ExactMatrix([[c * x for x in row] for row in self._data])
+    def _common(self) -> tuple[int, list[list[int]]]:
+        """(B, B * self) with B the lcm of the row denominators."""
+        big = lcm(*self._den)
+        return big, [[x * (big // d) for x in row]
+                     for row, d in zip(self._num, self._den)]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: ({self.rows}x{self.cols}) @ "
                 f"({other.rows}x{other.cols})")
-        bt = list(zip(*other._data))
-        return ExactMatrix([[sum(a * b for a, b in zip(row, col))
-                             for col in bt] for row in self._data])
+        big, right = other._common()
+        cols = list(zip(*right))
+        return ExactMatrix.from_int_rows(
+            [[sum(map(mul, row, col)) for col in cols] for row in self._num],
+            [d * big for d in self._den])
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self._data[i][i] for i in range(self.rows)),
-                   Fraction(0))
+    def scale_rows(self, factors: Sequence) -> "ExactMatrix":
+        """Row i multiplied by the rational factors[i]."""
+        fs = [Fraction(f) for f in factors]
+        return ExactMatrix.from_int_rows(
+            [[x * f.numerator for x in row] for row, f in zip(self._num, fs)],
+            [d * f.denominator for d, f in zip(self._den, fs)])
 
     def row_sums(self) -> list[Fraction]:
-        return [sum(row, Fraction(0)) for row in self._data]
+        return [Fraction(sum(row), d) for row, d in zip(self._num, self._den)]
 
 
 def determinant(a: ExactMatrix) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
-    Rows are first scaled to integers to keep all intermediate values
-    integral; the accumulated scale is divided back out at the end.
+    Runs on the integer rows, so every intermediate value is an integer;
+    the product of the row denominators is divided back out at the end.
     """
     if not a.is_square:
         raise ValueError("determinant of a non-square matrix")
     n = a.rows
-    scale = 1
-    m: list[list[int]] = []
-    for row in a.to_lists():
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        m.append([int(x * mult) for x in row])
-
-    sign = 1
-    prev = 1
+    m = [list(row) for row in a._num]
+    sign = prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, tail = m[k][k], m[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale)
+            f = m[i][k]
+            m[i] = [0] * (k + 1) + [(x * pivot - f * y) // prev
+                                    for x, y in zip(m[i][k + 1:], tail)]
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], prod(a._den))
+
+
+def is_nonsingular(a: ExactMatrix) -> bool:
+    """Exact test of det(a) != 0, certified modulo a prime when it can be.
+
+    det(a) is det(W) over the product of the row denominators, W the integer
+    rows. A nonzero det(W) mod 2^61 - 1 proves det(a) != 0; a zero residue
+    proves nothing, so the verdict then falls back to the exact determinant.
+    """
+    if not a.is_square:
+        raise ValueError("determinant of a non-square matrix")
+    n, q = a.rows, _PRIME
+    m = [[x % q for x in row] for row in a._num]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return determinant(a) != 0
+        m[k], m[piv] = m[piv], m[k]
+        inv = pow(m[k][k], -1, q)
+        for i in range(k + 1, n):
+            f = m[i][k] * inv % q
+            m[i] = [(x - f * y) % q for x, y in zip(m[i], m[k])]
+    return True
 
 
 class ExactPolynomial:
@@ -131,7 +147,7 @@ class ExactPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence):
-        coeffs = [_as_rational(c) for c in coefficients]
+        coeffs = [Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients = coeffs
@@ -152,7 +168,7 @@ class ExactPolynomial:
         return f"ExactPolynomial({self.coefficients!r})"
 
     def __call__(self, x) -> Fraction:
-        x = _as_rational(x)
+        x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * x + c
@@ -168,7 +184,7 @@ class ExactPolynomial:
         return ExactPolynomial(out)
 
     def scale(self, c) -> "ExactPolynomial":
-        c = _as_rational(c)
+        c = Fraction(c)
         return ExactPolynomial([c * x for x in self.coefficients])
 
     def divmod(self, divisor: "ExactPolynomial"):
@@ -192,20 +208,25 @@ class ExactPolynomial:
 def char_poly(a: ExactMatrix) -> ExactPolynomial:
     """Characteristic polynomial det(xI - A), monic, exact.
 
-    Faddeev-LeVerrier recursion: only divisions by small integers occur,
-    so coefficient growth stays controlled.
+    Division-free Berkowitz recursion on the integer matrix B*A, B the lcm of
+    the row denominators; det(xI - BA) = B^m det((x/B)I - A), so ascending
+    coefficient k is that of B*A times B^(k-m).
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = a.rows
-    coeffs_desc = [Fraction(1)]
-    m = ExactMatrix.identity(n).to_lists()
-    for k in range(1, n + 1):
-        # A M_k, computed once, gives c_k and M_{k+1} = A M_k + c_k I.
-        product = a @ ExactMatrix(m)
-        c = -product.trace() / k
-        coeffs_desc.append(c)
-        m = product.to_lists()
-        for i in range(n):
-            m[i][i] += c
-    return ExactPolynomial(list(reversed(coeffs_desc)))
+    big, w = a._common()
+    poly = [1, -w[0][0]]  # descending, of the leading 1x1 block
+    for k in range(1, a.rows):
+        # Toeplitz column 1, -w_kk, -R C, -R M C, ..., -R M^(k-1) C of the
+        # leading block M bordered by column C and row R.
+        block = [row[:k] for row in w[:k]]
+        row, vec = w[k][:k], [r[k] for r in w[:k]]
+        column = [1, -w[k][k]]
+        for t in range(k):
+            if t:
+                vec = [sum(map(mul, r, vec)) for r in block]
+            column.append(-sum(map(mul, row, vec)))
+        poly = [sum(column[i - j] * poly[j] for j in range(min(i, k) + 1))
+                for i in range(k + 2)]
+    return ExactPolynomial([Fraction(c, big ** i)
+                            for i, c in enumerate(poly)][::-1])

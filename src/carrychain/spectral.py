@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .carries import ChainSpec, p_param, state_space, transition_matrix
-from .eulerian import stationary, v_closed
-from .exactmath import ExactMatrix, determinant
+from .eulerian import alternating_sums, stationary
+from .exactmath import ExactMatrix, determinant, is_nonsingular
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,16 @@ def eigen_matrix(n: int, p, m: int, *, reverse: bool = False) -> ExactMatrix:
     Entry (i, j) is the array value v[i][j]; with ``reverse`` the columns
     are flipped (entry (i, j) = v[i][m-1-j]), which is the alignment that
     matches negative-base chains, whose state order is mirrored.
+
+    For p = K/L, row i is the integer row
+    W[i][j] = sum_r (-1)^r C(n+1, r) (K(j-r) + L)^(n-i) over L^(n-i).
     """
-    cols = [m - 1 - j for j in range(m)] if reverse else list(range(m))
-    return ExactMatrix([[v_closed(n, p, i, j) for j in cols]
-                        for i in range(m)])
+    p = Fraction(p)
+    k, l = p.numerator, p.denominator
+    cols = range(m - 1, -1, -1) if reverse else range(m)
+    rows = [alternating_sums(n, [(k * t + l) ** (n - i) for t in range(m)], cols)
+            for i in range(m)]
+    return ExactMatrix.from_int_rows(rows, [l ** (n - i) for i in range(m)])
 
 
 def chain_spectrum(base: int, m: int) -> list[Fraction]:
@@ -97,17 +103,15 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
         not bad_rows,
         "" if not bad_rows else f"rows {bad_rows} sum to {[sums[i] for i in bad_rows]}")
 
-    DV = ExactMatrix([[lam * x for x in row]
-                      for lam, row in zip(spectrum, V.to_lists())])
-    diff = _first_diff(V @ P, DV)
+    VP, DV = V @ P, V.scale_rows(spectrum)
+    diff = "" if VP == DV else _first_diff(VP, DV)
     verdicts["eigenvector_equation"] = CheckResult(not diff, diff)
 
-    det = determinant(V)
+    nonsingular = is_nonsingular(V)
     verdicts["eigenbasis_nonsingular"] = CheckResult(
-        det != 0, "" if det != 0 else "det(V) = 0")
+        nonsingular, "" if nonsingular else "det(V) = 0")
 
-    pi_next = [sum((pi[k] * P[k, j] for k in range(m)), Fraction(0))
-               for j in range(m)]
+    pi_next = (ExactMatrix([pi]) @ P).to_lists()[0]
     verdicts["stationary_fixed"] = CheckResult(
         pi_next == pi,
         "" if pi_next == pi else f"pi P = {pi_next}, pi = {pi}")
@@ -143,9 +147,11 @@ def spectrum_probe(P: ExactMatrix,
     """
     if not P.is_square:
         raise ValueError("spectrum probe needs a square matrix")
-    ident = ExactMatrix.identity(P.rows)
+    rows = P.to_lists()
     out = []
     for lam in candidates:
         lam = Fraction(lam)
-        out.append((lam, determinant(P - ident.scale(lam)) == 0))
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(rows)]
+        out.append((lam, determinant(ExactMatrix(shifted)) == 0))
     return out

@@ -22,18 +22,13 @@ from carrychain.carries import (
     transition_matrix,
     transition_matrix_bruteforce,
 )
-from carrychain.eulerian import (
-    array_recurrence_check,
-    row_sums,
-    symmetry_check,
-    triangle_recurrence,
-    v_closed,
-)
+from carrychain.eulerian import row_sums, triangle_recurrence, v_closed
 from carrychain.exactmath import ExactMatrix, ExactPolynomial, char_poly
 from carrychain.numeration import NumerationSystem
 from carrychain.simulate import SimConfig, run_chain
 from carrychain.spectral import chain_stationary, commutes, eigen_matrix
 from carrychain.uniformsum import interval_prob
+from eulerian_identities import array_recurrence_check, symmetry_check
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

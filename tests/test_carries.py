@@ -145,6 +145,9 @@ def test_bruteforce_input_validation():
         transition_matrix_bruteforce(3, [0, 1, 4], 2)      # residue collision
     with pytest.raises(ValueError):
         transition_matrix_bruteforce(1, [0], 2)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="need at least one summand"):
+            transition_matrix_bruteforce(2, [0, 1], n)
 
 
 def test_find_system_examples():

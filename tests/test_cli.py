@@ -108,6 +108,9 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["find-system", "--p", "2", "--n", "1"], capsys)[0] == 2
     assert run_cli(["matrix", "--base", "3", "--n", "2"], capsys)[0] == 2
     assert run_cli(["triangle", "--p", "1/2", "--n-max", "2"], capsys)[0] == 2
+    for n in ("-3", "0"):
+        assert run_cli(["matrix", "--base", "2", "--digits=0,1", "--n", n],
+                       capsys)[0] == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["triangle", "--p", "two", "--n-max", "3"])
     assert exc.value.code == 2

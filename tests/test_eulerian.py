@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrychain.eulerian import (
-    array_recurrence_check,
-    conjugate_parameter,
     eulerian_array,
     row_sums,
     stationary,
-    symmetry_check,
     triangle_recurrence,
     v_closed,
+)
+from eulerian_identities import (
+    array_recurrence_check,
+    conjugate_parameter,
+    symmetry_check,
 )
 
 P_GRID = [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 3), Fraction(7, 4)]
@@ -138,6 +140,8 @@ def test_stationary_is_distribution(n, p):
     pi = stationary(n, p)
     assert sum(pi) == 1
     assert all(x >= 0 for x in pi)
+    total = p ** n * factorial(n)
+    assert pi == [v_closed(n, p, 0, j) / total for j in range(len(pi))]
 
 
 @settings(max_examples=50, deadline=None)

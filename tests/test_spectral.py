@@ -1,10 +1,12 @@
 """Tests for exact diagonalization, spectra, and commutation of carry chains."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from carrychain.carries import ChainSpec, transition_matrix, transition_matrix_bruteforce
+from carrychain.eulerian import v_closed
 from carrychain.exactmath import ExactMatrix
 from carrychain.numeration import NumerationSystem
 from carrychain.spectral import (
@@ -42,6 +44,22 @@ def test_eigen_matrix_reference_p2_n4():
         [1, -2, 0, 2, -1],
         [1, -4, 6, -4, 1],
     ])
+
+
+def test_eigen_matrix_matches_v_closed():
+    for l in range(1, 7):
+        for k in (l, l + 1, 2 * l + 1, 3 * l + 2):
+            if gcd(k, l) != 1:
+                continue
+            p = Fraction(k, l)
+            for n in range(1, 13):
+                m = n + 1
+                v = [[v_closed(n, p, i, j) for j in range(m)] for i in range(m)]
+                assert eigen_matrix(n, p, m).to_lists() == v, (p, n)
+                assert eigen_matrix(n, p, m, reverse=True).to_lists() == [
+                    row[::-1] for row in v], (p, n)
+                assert eigen_matrix(n, p, n) == ExactMatrix(
+                    [row[:n] for row in v[:n]]), (p, n)
 
 
 def test_chain_spectrum_signs():
