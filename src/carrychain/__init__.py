@@ -1,69 +1,41 @@
-"""Exact analysis of carry Markov chains for offset and negative-base numeration systems."""
+"""Exact analysis of carry Markov chains for offset and negative-base numeration systems.
 
-from .carries import (
-    ChainSpec,
-    StateSpace,
-    find_system,
-    p_param,
-    state_space,
-    transition_matrix,
-    transition_matrix_bruteforce,
-)
-from .eulerian import (
-    eulerian_array,
-    row_sums,
-    stationary,
-    triangle_recurrence,
-    v_closed,
-)
-from .exactmath import ExactMatrix, ExactPolynomial, char_poly, determinant
-from .numeration import NumerationSystem, RepresentableClass, evaluate, expand
-from .simulate import SimConfig, SimResult, run_chain, tv_distance
-from .spectral import (
-    ChainReport,
-    chain_spectrum,
-    chain_stationary,
-    commutes,
-    eigen_matrix,
-    spectrum_probe,
-    verify_diagonalization,
-)
-from .uniformsum import interval_prob, irwin_hall_cdf
+The package imports lazily: a name below loads its module on first access
+(PEP 562), so ``import carrychain.cli`` pays only for what a command uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainReport",
-    "ChainSpec",
-    "ExactMatrix",
-    "ExactPolynomial",
-    "NumerationSystem",
-    "RepresentableClass",
-    "SimConfig",
-    "SimResult",
-    "StateSpace",
-    "chain_spectrum",
-    "chain_stationary",
-    "char_poly",
-    "commutes",
-    "determinant",
-    "eigen_matrix",
-    "eulerian_array",
-    "evaluate",
-    "expand",
-    "find_system",
-    "interval_prob",
-    "irwin_hall_cdf",
-    "p_param",
-    "row_sums",
-    "run_chain",
-    "spectrum_probe",
-    "state_space",
-    "stationary",
-    "transition_matrix",
-    "transition_matrix_bruteforce",
-    "triangle_recurrence",
-    "tv_distance",
-    "v_closed",
-    "verify_diagonalization",
-]
+# Exported name -> defining module.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("carries", "ChainSpec StateSpace find_system p_param state_space "
+                    "transition_matrix transition_matrix_bruteforce"),
+        ("eulerian", "eulerian_array row_sums stationary triangle_recurrence "
+                     "v_closed"),
+        ("exactmath", "ExactMatrix ExactPolynomial char_poly determinant"),
+        ("numeration", "NumerationSystem RepresentableClass evaluate expand"),
+        ("simulate", "SimConfig SimResult run_chain tv_distance"),
+        ("spectral", "ChainReport chain_spectrum chain_stationary commutes "
+                     "eigen_matrix spectrum_probe verify_diagonalization"),
+        ("uniformsum", "interval_prob irwin_hall_cdf"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

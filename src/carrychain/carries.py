@@ -13,7 +13,7 @@ definition-level brute-force count that also accepts arbitrary digit sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .eulerian import alternating_sums
@@ -21,10 +21,8 @@ from .exactmath import ExactMatrix
 from .numeration import NumerationSystem
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    s: int
-    t: int
+class StateSpace(namedtuple("StateSpace", "s t")):
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -35,14 +33,13 @@ class StateSpace:
         return list(range(self.s, self.t + 1))
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    system: NumerationSystem
-    n: int
+class ChainSpec(namedtuple("ChainSpec", "system n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one summand, got n={self.n}")
+    def __new__(cls, system: NumerationSystem, n: int):
+        if n < 1:
+            raise ValueError(f"need at least one summand, got n={n}")
+        return super().__new__(cls, system, n)
 
 
 def state_space(spec: ChainSpec) -> StateSpace:

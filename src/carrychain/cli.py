@@ -15,10 +15,11 @@ import math
 import sys
 from fractions import Fraction
 
-from . import carries, eulerian, spectral, uniformsum
+# spectral, simulate, uniformsum and eulerian are imported inside the commands
+# that use them, so a request does not load (and compile) the others.
+from . import carries
 from .exactmath import ExactMatrix, char_poly
 from .numeration import NumerationSystem
-from .simulate import SimConfig, run_chain
 
 SCHEMA_VERSION = "1"
 
@@ -47,11 +48,6 @@ def parse_digit_set(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from exc
 
 
-def rat_json(x: Fraction) -> dict[str, str]:
-    x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
 def rat_text(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -59,23 +55,48 @@ def rat_text(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _jsonify(value):
-    """Recursively convert Fractions (and matrices) for JSON emission."""
-    if isinstance(value, Fraction):
-        return rat_json(value)
+def _emit_json(value, pad: str, out: list) -> None:
+    """Append the json.dumps(..., indent=2) text of value, nested at pad.
+
+    Fractions (and matrix entries) become {"num", "den"} decimal strings,
+    tuples become lists and keys become str(key).
+    """
     if isinstance(value, ExactMatrix):
-        return [[rat_json(x) for x in row] for row in value.to_lists()]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+        value = value.to_lists()
+    inner = pad + "  "
+    if isinstance(value, Fraction):
+        out.append(f'{{\n{inner}"num": "{value.numerator}",\n'
+                   f'{inner}"den": "{value.denominator}"\n{pad}}}')
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep + json.dumps(str(key)) + ": ")
+            _emit_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _emit_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def render(doc: dict, fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(_jsonify(doc), stream, indent=2)
-        stream.write("\n")
+        out: list[str] = []
+        _emit_json(doc, "", out)
+        out.append("\n")
+        stream.write("".join(out))
     elif fmt == "csv":
         _emit_csv(_fields(doc["payload"]), stream)
     else:
@@ -152,6 +173,8 @@ def _system_from_args(args) -> NumerationSystem:
 
 
 def cmd_triangle(args) -> tuple[dict, int]:
+    from . import eulerian
+
     rows = eulerian.triangle_recurrence(args.n_max, args.p)
     payload = {
         "p": args.p,
@@ -198,6 +221,8 @@ def cmd_matrix(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    from . import spectral
+
     spec = carries.ChainSpec(_system_from_args(args), args.n)
     report = spectral.verify_diagonalization(spec)
     payload = {
@@ -237,6 +262,9 @@ def cmd_find_system(args) -> tuple[dict, int]:
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
+    from . import spectral
+    from .simulate import SimConfig, run_chain
+
     spec = carries.ChainSpec(_system_from_args(args), args.n)
     cfg = SimConfig(spec=spec, steps=args.steps, seed=args.seed,
                     burn_in=args.burn_in)
@@ -262,8 +290,9 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 
 def cmd_uniform_sum(args) -> tuple[dict, int]:
-    probs = [uniformsum.interval_prob(args.n, args.p, k)
-             for k in range(args.n + 1)]
+    from . import eulerian, uniformsum
+
+    probs = uniformsum.interval_probs(args.n, args.p)
     total = Fraction(args.p) ** args.n * math.factorial(args.n)
     row = [eulerian.v_closed(args.n, args.p, 0, j) / total
            for j in range(args.n + 1)]

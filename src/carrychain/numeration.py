@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -20,19 +20,21 @@ class RepresentableClass(enum.Enum):
     NON_POSITIVES = "non-positives"
 
 
-@dataclass(frozen=True)
-class NumerationSystem:
-    base_magnitude: int
-    d: int
-    negative: bool = False
+# Record types here and in carries, spectral and simulate are namedtuple
+# subclasses with the checks in __new__: unlike dataclasses they cost next to
+# nothing to define, which every CLI start-up pays for.
+class NumerationSystem(
+        namedtuple("NumerationSystem", "base_magnitude d negative")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        b, d = self.base_magnitude, self.d
+    def __new__(cls, base_magnitude: int, d: int, negative: bool = False):
+        b = base_magnitude
         if b < 2:
             raise ValueError(f"base magnitude must be >= 2, got {b}")
         if not (d <= 0 <= d + b - 1):
             raise ValueError(
                 f"digit set {{{d}, ..., {d + b - 1}}} must contain 0")
+        return super().__new__(cls, base_magnitude, d, negative)
 
     @property
     def base(self) -> int:

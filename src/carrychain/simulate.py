@@ -8,7 +8,7 @@ the generator algorithm is recorded so runs remain auditable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .carries import ChainSpec, state_space
@@ -16,28 +16,21 @@ from .carries import ChainSpec, state_space
 GENERATOR_ALGORITHM = "mt19937"
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    spec: ChainSpec
-    steps: int
-    seed: int
-    burn_in: int = 1000
+class SimConfig(namedtuple("SimConfig", "spec steps seed burn_in")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.steps <= self.burn_in:
-            raise ValueError(
-                f"steps ({self.steps}) must exceed burn_in ({self.burn_in})")
+    def __new__(cls, spec: ChainSpec, steps: int, seed: int, burn_in: int = 1000):
+        if burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+        if steps <= burn_in:
+            raise ValueError(f"steps ({steps}) must exceed burn_in ({burn_in})")
+        return super().__new__(cls, spec, steps, seed, burn_in)
 
 
-@dataclass(frozen=True)
-class SimResult:
-    config: SimConfig
-    counts: dict[int, int]
-    empirical: dict[int, float]
-    tv_distance: float
-    generator: str = GENERATOR_ALGORITHM
+class SimResult(namedtuple("SimResult",
+                           "config counts empirical tv_distance generator",
+                           defaults=(GENERATOR_ALGORITHM,))):
+    __slots__ = ()
 
     @property
     def samples(self) -> int:

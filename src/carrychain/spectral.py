@@ -9,7 +9,7 @@ diffs, never silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .carries import ChainSpec, p_param, state_space, transition_matrix
@@ -17,22 +17,20 @@ from .eulerian import alternating_sums, stationary
 from .exactmath import ExactMatrix, determinant, is_nonsingular
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "passed detail", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    spec: ChainSpec
-    states: list[int]
-    p: Fraction
-    P: ExactMatrix
-    V: ExactMatrix
-    spectrum: list[Fraction]
-    pi: list[Fraction]
-    verdicts: dict[str, CheckResult] = field(default_factory=dict)
+class ChainReport(namedtuple("ChainReport",
+                             "spec states p P V spectrum pi verdicts")):
+    __slots__ = ()
+
+    def __new__(cls, spec: ChainSpec, states: list[int], p: Fraction,
+                P: ExactMatrix, V: ExactMatrix, spectrum: list[Fraction],
+                pi: list[Fraction],
+                verdicts: dict[str, CheckResult] | None = None):
+        return super().__new__(cls, spec, states, p, P, V, spectrum, pi,
+                               {} if verdicts is None else verdicts)
 
     @property
     def verified(self) -> bool:

@@ -39,6 +39,13 @@ def interval_prob(n: int, p, k: int) -> Fraction:
     return irwin_hall_cdf(n, 1 / p + k) - irwin_hall_cdf(n, 1 / p + k - 1)
 
 
+def interval_probs(n: int, p) -> list[Fraction]:
+    """interval_prob(n, p, k) for k = 0, ..., n."""
+    # k = 0 comes first even when n < 0, so p and n are checked before any work.
+    first = interval_prob(n, p, 0)
+    return [first] + [interval_prob(n, p, k) for k in range(1, n + 1)]
+
+
 def interval_prob_float(n: int, p: float, k: int) -> float:
     """Floating-point interval probability for exploratory irrational p.
 

@@ -1,7 +1,9 @@
 """CLI contract tests: golden outputs, exit codes, and determinism."""
 
+import io
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +43,29 @@ RENDER_CASES = [
     for fname, argv in GOLDEN_CASES
     for fmt, ext in (("csv", ".csv"), ("pretty", ".txt"))
 ]
+
+
+def _jsonify(value):
+    """Reference JSON tree: Fractions (and matrix entries) as num/den strings."""
+    if isinstance(value, Fraction):
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    if isinstance(value, ExactMatrix):
+        return [[_jsonify(x) for x in row] for row in value.to_lists()]
+    if isinstance(value, dict):
+        return {str(k): _jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    return value
+
+
+def reference_json(doc) -> str:
+    return json.dumps(_jsonify(doc), indent=2) + "\n"
+
+
+def rendered_json(doc) -> str:
+    out = io.StringIO()
+    cli.render(doc, "json", out)
+    return out.getvalue()
 
 
 def run_cli(argv, capsys):
@@ -108,6 +133,8 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["find-system", "--p", "2", "--n", "1"], capsys)[0] == 2
     assert run_cli(["matrix", "--base", "3", "--n", "2"], capsys)[0] == 2
     assert run_cli(["triangle", "--p", "1/2", "--n-max", "2"], capsys)[0] == 2
+    assert run_cli(["uniform-sum", "--p", "0", "--n", "-1"], capsys)[0] == 2
+    assert run_cli(["uniform-sum", "--p", "2", "--n", "-1"], capsys)[0] == 2
     for n in ("-3", "0"):
         assert run_cli(["matrix", "--base", "2", "--digits=0,1", "--n", n],
                        capsys)[0] == 2
@@ -127,7 +154,7 @@ def test_matrix_digits_carry_window_grows_with_n(capsys):
     payload = json.loads(out)["payload"]
     assert payload["states"] == list(range(40))
     closed = transition_matrix(ChainSpec(NumerationSystem(2, 0), 40))
-    assert payload["matrix"] == cli._jsonify(closed)
+    assert payload["matrix"] == _jsonify(closed)
 
 
 def test_find_system_p_one(capsys):
@@ -158,3 +185,48 @@ def test_uniform_sum_reports_match(capsys):
     payload = json.loads(out)["payload"]
     assert payload["match"] is True
     assert payload["interval_probs"][0] == {"num": "1", "den": "48"}
+
+
+def _documents(argv):
+    """The document a command builds, before rendering."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)[0]
+
+
+def _json_render_argvs():
+    for b in range(2, 8):
+        for d in range(-(b - 1), 1):
+            for n in range(1, 7):
+                for neg in ([], ["--negative"]):
+                    system = ["--base", str(b), "--d", str(d), "--n", str(n), *neg]
+                    yield ["verify", *system]
+                    yield ["matrix", *system, "--char-poly"]
+    yield ["matrix", "--base", "3", "--digits=-1,0,4", "--n", "3", "--char-poly"]
+    yield ["triangle", "--p", "5/3", "--n-max", "5"]
+    yield ["find-system", "--p", "7/2", "--n", "3"]
+    yield ["uniform-sum", "--p", "5/2", "--n", "4"]
+    yield ["simulate", "--base", "5", "--d", "-2", "--n", "3", "--steps", "3000",
+           "--seed", "3", "--negative"]
+
+
+def test_json_emitter_matches_reference_on_commands():
+    for argv in _json_render_argvs():
+        doc = _documents(argv)
+        assert rendered_json(doc) == reference_json(doc), argv
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {"e": []}}]},
+    {"fractions": [Fraction(-7, 3), Fraction(5), Fraction(0), Fraction(-4)]},
+    {"scalars": [True, False, None, 0, -12, 10 ** 30, 0.5, "x"]},
+    {"ints": {1: "a", -2: [1]}, "other": {3.5: "b", True: "c", None: 0}},
+    {"text": ["caf\u00e9 \u2264 \U0001d49e", "tab\tnl\n\"q\" \\ \x00\x1f\x7f"],
+     "k\u00e9y\n": ("tuple", Fraction(1, 2))},
+    {"matrix": ExactMatrix([[Fraction(1, 3), -2], [0, Fraction(-5, 6)]]),
+     "nested": [{"m": ExactMatrix([[1]])}]},
+], ids=["empty-dict", "empty-list", "nested-empties", "fractions", "scalars",
+        "non-str-keys", "escapes", "matrices"])
+def test_json_emitter_matches_reference_on_synthetic_docs(doc):
+    assert rendered_json(doc) == reference_json(doc)

@@ -1,6 +1,21 @@
-"""Tests for the package's export list."""
+"""Tests for the package's export list, import footprint and record types."""
+
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
 
 import carrychain
+from carrychain.carries import ChainSpec, StateSpace
+from carrychain.exactmath import ExactMatrix
+from carrychain.numeration import NumerationSystem
+from carrychain.simulate import SimConfig, SimResult
+from carrychain.spectral import ChainReport, CheckResult
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_export_list_resolves():
@@ -8,3 +23,105 @@ def test_export_list_resolves():
     namespace: dict = {}
     exec("from carrychain import *", namespace)  # fails on any unresolved name
     assert set(carrychain.__all__) <= namespace.keys()
+
+
+def _imported(*args: str) -> set[str]:
+    """Modules a fresh interpreter imports running args, read off -X importtime."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+
+
+def test_cli_imports_only_what_a_command_needs():
+    # Compared with a bare interpreter, since site may preload some modules.
+    bare = _imported("-c", "pass")
+    cli = _imported("-c", "import carrychain.cli") - bare
+    assert {"carrychain.cli", "carrychain.carries"} <= cli
+    assert not cli & {"dataclasses", "inspect", "random", "carrychain.spectral",
+                      "carrychain.simulate", "carrychain.uniformsum"}
+    verify = _imported("-m", "carrychain.cli", "verify", "--base", "3",
+                       "--d", "-1", "--n", "2") - bare
+    assert "carrychain.spectral" in verify
+    assert not verify & {"dataclasses", "inspect", "carrychain.simulate"}
+
+
+def _records():
+    system = NumerationSystem(base_magnitude=5, d=-1)
+    spec = ChainSpec(system=system, n=3)
+    config = SimConfig(spec=spec, steps=2000, seed=7)
+    report = ChainReport(spec=spec, states=[0, 1], p=Fraction(3, 2),
+                         P=ExactMatrix([[1, 0], [0, 1]]), V=ExactMatrix([[1]]),
+                         spectrum=[Fraction(1)], pi=[Fraction(1, 2)])
+    result = SimResult(config=config, counts={0: 3}, empirical={0: 0.5},
+                       tv_distance=0.25)
+    return [
+        (system, NumerationSystem(5, -1, False),
+         "NumerationSystem(base_magnitude=5, d=-1, negative=False)"),
+        (spec, ChainSpec(NumerationSystem(5, -1), 3),
+         "ChainSpec(system=NumerationSystem(base_magnitude=5, d=-1, "
+         "negative=False), n=3)"),
+        (StateSpace(s=-1, t=2), StateSpace(-1, 2), "StateSpace(s=-1, t=2)"),
+        (CheckResult(passed=True), CheckResult(True, ""),
+         "CheckResult(passed=True, detail='')"),
+        (config, SimConfig(spec, 2000, 7, 1000),
+         "SimConfig(spec=ChainSpec(system=NumerationSystem(base_magnitude=5, "
+         "d=-1, negative=False), n=3), steps=2000, seed=7, burn_in=1000)"),
+        (report, ChainReport(spec, [0, 1], Fraction(3, 2),
+                             ExactMatrix([[1, 0], [0, 1]]), ExactMatrix([[1]]),
+                             [Fraction(1)], [Fraction(1, 2)], {}),
+         "ChainReport(spec=ChainSpec(system=NumerationSystem(base_magnitude=5, "
+         "d=-1, negative=False), n=3), states=[0, 1], p=Fraction(3, 2), "
+         "P=ExactMatrix([[Fraction(1, 1), Fraction(0, 1)], [Fraction(0, 1), "
+         "Fraction(1, 1)]]), V=ExactMatrix([[Fraction(1, 1)]]), "
+         "spectrum=[Fraction(1, 1)], pi=[Fraction(1, 2)], verdicts={})"),
+        (result, SimResult(config, {0: 3}, {0: 0.5}, 0.25, "mt19937"),
+         "SimResult(config=SimConfig(spec=ChainSpec(system=NumerationSystem("
+         "base_magnitude=5, d=-1, negative=False), n=3), steps=2000, seed=7, "
+         "burn_in=1000), counts={0: 3}, empirical={0: 0.5}, tv_distance=0.25, "
+         "generator='mt19937')"),
+    ]
+
+
+def test_record_types_keep_value_semantics():
+    records = _records()
+    assert len({type(r) for r, _, _ in records}) == 7
+    for record, same, text in records:
+        assert record == same and not record != same
+        assert repr(record) == text
+        field = text[text.index("(") + 1:text.index("=")]  # the first field
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        if isinstance(record, (ChainReport, SimResult)):
+            with pytest.raises(TypeError):  # dict and list fields
+                hash(record)
+        else:
+            assert hash(record) == hash(same)
+    system, spec, space, check, config, report, result = (r for r, _, _ in records)
+    assert system.negative is False and system.base == 5
+    assert spec != ChainSpec(system, 4) and space.states == [-1, 0, 1, 2]
+    assert check.detail == "" and config.burn_in == 1000
+    assert report.verdicts == {} and report.verified
+    assert result.generator == "mt19937" and result.samples == 1000
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: NumerationSystem(1, 0), "base magnitude must be >= 2, got 1"),
+    (lambda: NumerationSystem(3, 1), "digit set {1, ..., 3} must contain 0"),
+    (lambda: NumerationSystem(3, -3), "digit set {-3, ..., -1} must contain 0"),
+    (lambda: ChainSpec(NumerationSystem(3, -1), 0),
+     "need at least one summand, got n=0"),
+    (lambda: SimConfig(ChainSpec(NumerationSystem(3, -1), 2), 10, 1, burn_in=-1),
+     "burn_in must be >= 0, got -1"),
+    (lambda: SimConfig(ChainSpec(NumerationSystem(3, -1), 2), 10, 1, burn_in=10),
+     "steps (10) must exceed burn_in (10)"),
+])
+def test_record_types_validate_with_the_same_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrychain.eulerian import v_closed
-from carrychain.uniformsum import interval_prob, interval_prob_float, irwin_hall_cdf
+from carrychain.uniformsum import (
+    interval_prob,
+    interval_prob_float,
+    interval_probs,
+    irwin_hall_cdf,
+)
 
 P_GRID = [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 3), Fraction(9, 5)]
 
@@ -56,6 +61,18 @@ def test_interval_prob_total_mass():
 def test_interval_prob_rejects_p_below_one():
     with pytest.raises(ValueError):
         interval_prob(3, Fraction(1, 2), 0)
+
+
+def test_interval_probs_checks_before_any_work():
+    assert interval_probs(4, Fraction(5, 3)) == [
+        interval_prob(4, Fraction(5, 3), k) for k in range(5)]
+    # With n < 0 the k range is empty; the checks must still run.
+    for n, p, message in ((-1, 2, "need at least one summand, got n=-1"),
+                          (-1, 0, "p must be >= 1, got 0"),
+                          (0, 2, "need at least one summand, got n=0")):
+        with pytest.raises(ValueError) as exc:
+            interval_probs(n, p)
+        assert str(exc.value) == message
 
 
 def test_float_path_tracks_exact_path():
