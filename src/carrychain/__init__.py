@@ -14,13 +14,12 @@ _EXPORTS = {
     for module, names in (
         ("carries", "ChainSpec StateSpace find_system p_param state_space "
                     "transition_matrix transition_matrix_bruteforce"),
-        ("eulerian", "eulerian_array row_sums stationary triangle_recurrence "
-                     "v_closed"),
+        ("eulerian", "stationary triangle_recurrence v_closed"),
         ("exactmath", "ExactMatrix ExactPolynomial char_poly determinant"),
         ("numeration", "NumerationSystem RepresentableClass evaluate expand"),
         ("simulate", "SimConfig SimResult run_chain tv_distance"),
         ("spectral", "ChainReport chain_spectrum chain_stationary commutes "
-                     "eigen_matrix spectrum_probe verify_diagonalization"),
+                     "eigen_matrix verify_diagonalization"),
         ("uniformsum", "interval_prob irwin_hall_cdf"),
     )
     for name in names.split()

@@ -168,7 +168,7 @@ def find_system(n: int, p: Fraction) -> NumerationSystem:
     """
     p = Fraction(p)
     if n < 2:
-        raise ValueError("need n >= 2; the construction degenerates at n=1")
+        raise ValueError(f"need n >= 2, got n={n}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     k, l = p.numerator, p.denominator

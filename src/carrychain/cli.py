@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -158,18 +157,23 @@ def _emit_pretty(command: str, fields, stream) -> None:
             stream.write(f"{key}: " + " ".join(cells) + "\n")
 
 
-def _document(command: str, inputs: dict, payload: dict) -> dict:
+def _document(args, payload: dict) -> dict:
+    """The output document; inputs echo the parsed options in argparse order."""
+    inputs = {key: rat_text(value) if isinstance(value, Fraction) else value
+              for key, value in vars(args).items()
+              if key not in ("command", "func", "format", "char_poly")}
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "payload": payload,
     }
 
 
-def _system_from_args(args) -> NumerationSystem:
-    return NumerationSystem(base_magnitude=args.base, d=args.d,
-                            negative=args.negative)
+def _spec(args) -> carries.ChainSpec:
+    return carries.ChainSpec(
+        NumerationSystem(base_magnitude=args.base, d=args.d,
+                         negative=args.negative), args.n)
 
 
 def cmd_triangle(args) -> tuple[dict, int]:
@@ -182,8 +186,7 @@ def cmd_triangle(args) -> tuple[dict, int]:
         "rows": rows,
         "row_sums": [sum(row, Fraction(0)) for row in rows],
     }
-    inputs = {"p": rat_text(args.p), "n_max": args.n_max}
-    return _document("triangle", inputs, payload), EXIT_OK
+    return _document(args, payload), EXIT_OK
 
 
 def cmd_matrix(args) -> tuple[dict, int]:
@@ -196,12 +199,11 @@ def cmd_matrix(args) -> tuple[dict, int]:
     else:
         if args.d is None:
             raise ValueError("--d is required unless --digits is given")
-        sys_ = _system_from_args(args)
-        spec = carries.ChainSpec(sys_, args.n)
+        spec = _spec(args)
         states = carries.state_space(spec).states
         P = carries.transition_matrix(spec)
         p = carries.p_param(spec)
-        digits = sys_.digits
+        digits = spec.system.digits
     payload = {
         "base": signed_base,
         "digits": digits,
@@ -212,18 +214,13 @@ def cmd_matrix(args) -> tuple[dict, int]:
     }
     if args.char_poly:
         payload["char_poly_ascending"] = char_poly(P).coefficients
-    inputs = {
-        "base": args.base, "d": args.d, "n": args.n,
-        "negative": args.negative,
-        "digits": args.digits,
-    }
-    return _document("matrix", inputs, payload), EXIT_OK
+    return _document(args, payload), EXIT_OK
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     from . import spectral
 
-    spec = carries.ChainSpec(_system_from_args(args), args.n)
+    spec = _spec(args)
     report = spectral.verify_diagonalization(spec)
     payload = {
         "base": spec.system.base,
@@ -241,10 +238,8 @@ def cmd_verify(args) -> tuple[dict, int]:
                   for name, res in report.verdicts.items() if not res.passed},
         "verified": report.verified,
     }
-    inputs = {"base": args.base, "d": args.d, "n": args.n,
-              "negative": args.negative}
     code = EXIT_OK if report.verified else EXIT_VERIFICATION_FAILED
-    return _document("verify", inputs, payload), code
+    return _document(args, payload), code
 
 
 def cmd_find_system(args) -> tuple[dict, int]:
@@ -257,15 +252,14 @@ def cmd_find_system(args) -> tuple[dict, int]:
         "d": sys_.d,
         "verified_p": carries.p_param(spec),
     }
-    inputs = {"p": rat_text(args.p), "n": args.n}
-    return _document("find-system", inputs, payload), EXIT_OK
+    return _document(args, payload), EXIT_OK
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
     from . import spectral
     from .simulate import SimConfig, run_chain
 
-    spec = carries.ChainSpec(_system_from_args(args), args.n)
+    spec = _spec(args)
     cfg = SimConfig(spec=spec, steps=args.steps, seed=args.seed,
                     burn_in=args.burn_in)
     exact = spectral.chain_stationary(spec)
@@ -283,19 +277,14 @@ def cmd_simulate(args) -> tuple[dict, int]:
         "exact_stationary": exact,
         "tv_distance": repr(result.tv_distance),
     }
-    inputs = {"base": args.base, "d": args.d, "n": args.n,
-              "negative": args.negative, "steps": args.steps,
-              "seed": args.seed, "burn_in": args.burn_in}
-    return _document("simulate", inputs, payload), EXIT_OK
+    return _document(args, payload), EXIT_OK
 
 
 def cmd_uniform_sum(args) -> tuple[dict, int]:
     from . import eulerian, uniformsum
 
     probs = uniformsum.interval_probs(args.n, args.p)
-    total = Fraction(args.p) ** args.n * math.factorial(args.n)
-    row = [eulerian.v_closed(args.n, args.p, 0, j) / total
-           for j in range(args.n + 1)]
+    row = eulerian.stationary(args.n, args.p, args.n + 1)
     payload = {
         "n": args.n,
         "p": args.p,
@@ -303,9 +292,8 @@ def cmd_uniform_sum(args) -> tuple[dict, int]:
         "scaled_eulerian_row": row,
         "match": probs == row,
     }
-    inputs = {"p": rat_text(args.p), "n": args.n}
     code = EXIT_OK if probs == row else EXIT_VERIFICATION_FAILED
-    return _document("uniform-sum", inputs, payload), code
+    return _document(args, payload), code
 
 
 def build_parser() -> argparse.ArgumentParser:

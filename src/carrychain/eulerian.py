@@ -43,11 +43,6 @@ def alternating_sums(n: int, f: list[int], cols) -> list[int]:
     return [sum(map(mul, signed[:j + 1], reversed(f[:j + 1]))) for j in cols]
 
 
-def eulerian_array(n: int, p) -> list[list[Fraction]]:
-    """The full (n+1) x (n+2) array; the extra last column is all zeros."""
-    return [[v_closed(n, p, i, j) for j in range(n + 2)] for i in range(n + 1)]
-
-
 def triangle_recurrence(n_max: int, p) -> list[list[Fraction]]:
     """Rows 0..n_max of the triangle E_p, each row of length n+1.
 
@@ -71,22 +66,17 @@ def triangle_recurrence(n_max: int, p) -> list[list[Fraction]]:
     return rows
 
 
-def row_sums(n: int, p) -> list[Fraction]:
-    """Sum over j of v[i][j] for each i: p^n n! at i = 0 and 0 for i > 0."""
-    return [sum((v_closed(n, p, i, j) for j in range(n + 2)), Fraction(0))
-            for i in range(n + 1)]
-
-
-def stationary(n: int, p) -> list[Fraction]:
+def stationary(n: int, p, m: int | None = None) -> list[Fraction]:
     """Stationary probabilities of the n-summand chain with parameter p.
 
-    The top array row divided by p^n n!. Length n+1 for p > 1; for p = 1
-    the final entry is the trailing zero of the triangle, so the vector
-    truncates to the n genuine states.
+    The first m entries of the top array row divided by p^n n!. By default
+    m = n+1 for p > 1; for p = 1 the final entry is the trailing zero of the
+    triangle, so the vector truncates to the n genuine states.
     """
     p = Fraction(p)
     k, l = p.numerator, p.denominator
-    m = n + 1 if p != 1 else n
+    if m is None:
+        m = n + 1 if p != 1 else n
     # v[0][j] = W[0][j] / L^n and p^n n! = K^n n! / L^n.
     total = k ** n * factorial(n)
     return [Fraction(w, total) for w in

@@ -152,11 +152,6 @@ class ExactPolynomial:
             coeffs.pop()
         self.coefficients = coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 
@@ -166,43 +161,6 @@ class ExactPolynomial:
 
     def __repr__(self) -> str:
         return f"ExactPolynomial({self.coefficients!r})"
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if not self or not other:
-            return ExactPolynomial([])
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return ExactPolynomial(out)
-
-    def scale(self, c) -> "ExactPolynomial":
-        c = Fraction(c)
-        return ExactPolynomial([c * x for x in self.coefficients])
-
-    def divmod(self, divisor: "ExactPolynomial"):
-        """Exact polynomial long division: returns (quotient, remainder)."""
-        if not divisor:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        d = divisor.coefficients
-        dn = len(d) - 1
-        lead = d[-1]
-        quo = [Fraction(0)] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            q = rem[i] / lead
-            quo[i - dn] = q
-            if q:
-                for j in range(dn + 1):
-                    rem[i - dn + j] -= q * d[j]
-        return ExactPolynomial(quo), ExactPolynomial(rem[:dn])
 
 
 def char_poly(a: ExactMatrix) -> ExactPolynomial:

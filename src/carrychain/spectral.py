@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .carries import ChainSpec, p_param, state_space, transition_matrix
 from .eulerian import alternating_sums, stationary
-from .exactmath import ExactMatrix, determinant, is_nonsingular
+from .exactmath import ExactMatrix, is_nonsingular
 
 
 class CheckResult(namedtuple("CheckResult", "passed detail", defaults=("",))):
@@ -134,22 +134,3 @@ def commutes(spec1: ChainSpec, spec2: ChainSpec) -> bool:
     p1 = transition_matrix(spec1)
     p2 = transition_matrix(spec2)
     return p1 @ p2 == p2 @ p1
-
-
-def spectrum_probe(P: ExactMatrix,
-                   candidates: list[Fraction]) -> list[tuple[Fraction, bool]]:
-    """Exact eigenvalue membership test for each candidate rational.
-
-    A candidate lam is an eigenvalue iff det(P - lam I) = 0; the
-    determinant is exact, so there are no tolerance questions.
-    """
-    if not P.is_square:
-        raise ValueError("spectrum probe needs a square matrix")
-    rows = P.to_lists()
-    out = []
-    for lam in candidates:
-        lam = Fraction(lam)
-        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(rows)]
-        out.append((lam, determinant(ExactMatrix(shifted)) == 0))
-    return out

@@ -31,19 +31,26 @@ def irwin_hall_cdf(n: int, x) -> Fraction:
     return _cdf(n, Fraction(x))
 
 
-def interval_prob(n: int, p, k: int) -> Fraction:
-    """Pr(sum of n uniforms lands in 1/p + [k-1, k]), exact for rational p."""
+def _check_p(p) -> Fraction:
     p = Fraction(p)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return irwin_hall_cdf(n, 1 / p + k) - irwin_hall_cdf(n, 1 / p + k - 1)
+    return p
+
+
+def interval_prob(n: int, p, k: int) -> Fraction:
+    """Pr(sum of n uniforms lands in 1/p + [k-1, k]), exact for rational p."""
+    x = 1 / _check_p(p) + k
+    return irwin_hall_cdf(n, x) - irwin_hall_cdf(n, x - 1)
 
 
 def interval_probs(n: int, p) -> list[Fraction]:
-    """interval_prob(n, p, k) for k = 0, ..., n."""
-    # k = 0 comes first even when n < 0, so p and n are checked before any work.
-    first = interval_prob(n, p, 0)
-    return [first] + [interval_prob(n, p, k) for k in range(1, n + 1)]
+    """interval_prob(n, p, k) for k = 0, ..., n, from n+2 CDF evaluations."""
+    x = 1 / _check_p(p) - 1
+    if n < 1:
+        raise ValueError(f"need at least one summand, got n={n}")
+    cdf = [_cdf(n, x + k) for k in range(n + 2)]
+    return [hi - lo for lo, hi in zip(cdf, cdf[1:])]
 
 
 def interval_prob_float(n: int, p: float, k: int) -> float:

@@ -1,12 +1,24 @@
 """Identities of the generalized Eulerian array, checked against v_closed.
 
 Each check returns the index pairs where its identity fails, so a failing
-test names them; every check is expected to return an empty list.
+test names them; every check is expected to return an empty list. The full
+array and its row sums are built here too, from v_closed.
 """
 
 from fractions import Fraction
 
 from carrychain.eulerian import v_closed
+
+
+def eulerian_array(n: int, p) -> list[list[Fraction]]:
+    """The full (n+1) x (n+2) array; the extra last column is all zeros."""
+    return [[v_closed(n, p, i, j) for j in range(n + 2)] for i in range(n + 1)]
+
+
+def row_sums(n: int, p) -> list[Fraction]:
+    """Sum over j of v[i][j] for each i: p^n n! at i = 0 and 0 for i > 0."""
+    return [sum((v_closed(n, p, i, j) for j in range(n + 2)), Fraction(0))
+            for i in range(n + 1)]
 
 
 def array_recurrence_check(n: int, p) -> list[tuple[int, int]]:

@@ -128,11 +128,12 @@ def test_bruteforce_sparse_digit_set():
 
 def test_bruteforce_sparse_digit_char_poly():
     from carrychain.exactmath import ExactPolynomial, char_poly
+    from polynomials import poly_divmod
 
     _, P = transition_matrix_bruteforce(3, [-1, 0, 4], 2)
     quotient = char_poly(P)
     for root in (Fraction(1), Fraction(1, 3), Fraction(1, 9)):
-        quotient, rem = quotient.divmod(ExactPolynomial([-root, 1]))
+        quotient, rem = poly_divmod(quotient, ExactPolynomial([-root, 1]))
         assert not rem
     # Remaining quartic factor, cleared of denominators:
     assert [c * 2187 for c in quotient.coefficients] == [1, -30, -405, 0, 2187]

@@ -131,6 +131,9 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["simulate", "--base", "3", "--d", "-1", "--n", "2",
                     "--steps", "0", "--seed", "1"], capsys)[0] == 2
     assert run_cli(["find-system", "--p", "2", "--n", "1"], capsys)[0] == 2
+    for n in ("0", "-3"):
+        assert cli.main(["find-system", "--p", "2", "--n", n]) == 2
+        assert capsys.readouterr().err == f"error: need n >= 2, got n={n}\n"
     assert run_cli(["matrix", "--base", "3", "--n", "2"], capsys)[0] == 2
     assert run_cli(["triangle", "--p", "1/2", "--n-max", "2"], capsys)[0] == 2
     assert run_cli(["uniform-sum", "--p", "0", "--n", "-1"], capsys)[0] == 2

@@ -7,16 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrychain.eulerian import (
-    eulerian_array,
-    row_sums,
-    stationary,
-    triangle_recurrence,
-    v_closed,
-)
+from carrychain.eulerian import stationary, triangle_recurrence, v_closed
 from eulerian_identities import (
     array_recurrence_check,
     conjugate_parameter,
+    eulerian_array,
+    row_sums,
     symmetry_check,
 )
 

@@ -16,6 +16,7 @@ from carrychain.exactmath import (
     is_nonsingular,
 )
 from carrychain.numeration import NumerationSystem
+from polynomials import poly_degree, poly_divmod, poly_eval, poly_mul, poly_scale
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12)
@@ -102,28 +103,28 @@ def test_matmul_associative(a, b, c):
 
 def test_polynomial_evaluation_and_product():
     p = ExactPolynomial([1, 2, 1])   # (x + 1)^2
-    assert p(3) == 16
+    assert poly_eval(p, 3) == 16
     q = ExactPolynomial([-1, 1])     # x - 1
-    assert (p * q)(2) == p(2) * q(2)
-    assert (p * q).degree == 3
+    assert poly_eval(poly_mul(p, q), 2) == poly_eval(p, 2) * poly_eval(q, 2)
+    assert poly_degree(poly_mul(p, q)) == 3
 
 
 def test_polynomial_trims_leading_zeros():
     p = ExactPolynomial([1, 0, 0])
-    assert p.degree == 0
+    assert poly_degree(p) == 0
     assert not ExactPolynomial([0, 0])
 
 
 def test_polynomial_divmod_exact():
     # x^3 - 1 = (x - 1)(x^2 + x + 1)
     cubic = ExactPolynomial([-1, 0, 0, 1])
-    quo, rem = cubic.divmod(ExactPolynomial([-1, 1]))
+    quo, rem = poly_divmod(cubic, ExactPolynomial([-1, 1]))
     assert rem == ExactPolynomial([])
     assert quo == ExactPolynomial([1, 1, 1])
 
 
 def test_polynomial_divmod_remainder():
-    quo, rem = ExactPolynomial([1, 0, 1]).divmod(ExactPolynomial([-1, 1]))
+    quo, rem = poly_divmod(ExactPolynomial([1, 0, 1]), ExactPolynomial([-1, 1]))
     assert quo == ExactPolynomial([1, 1])
     assert rem == ExactPolynomial([2])
 
@@ -132,8 +133,8 @@ def test_char_poly_diagonal_matrix():
     m = diagonal([1, 2, 3])
     cp = char_poly(m)
     for root in (1, 2, 3):
-        assert cp(root) == 0
-    assert cp(4) != 0
+        assert poly_eval(cp, root) == 0
+    assert poly_eval(cp, 4) != 0
     assert cp.coefficients[-1] == 1
 
 
@@ -144,7 +145,7 @@ def test_char_poly_evaluates_like_determinant(a):
     for x in (Fraction(0), Fraction(1), Fraction(-2, 3)):
         shifted = ExactMatrix([[x * (i == j) - a[i, j] for j in range(3)]
                                for i in range(3)])
-        assert cp(x) == determinant(shifted)
+        assert poly_eval(cp, x) == determinant(shifted)
 
 
 def test_char_poly_trace_and_det_coefficients():
@@ -210,7 +211,8 @@ def interpolated_char_poly(a):
         basis = ExactPolynomial([1])
         for y in points:
             if y != x:
-                basis = basis * ExactPolynomial([-y, 1]).scale(1 / (x - y))
+                basis = poly_mul(
+                    basis, poly_scale(ExactPolynomial([-y, 1]), 1 / (x - y)))
         value = determinant(ExactMatrix(shifted))
         for k, c in enumerate(basis.coefficients):
             coeffs[k] += value * c

@@ -7,16 +7,32 @@ import pytest
 
 from carrychain.carries import ChainSpec, transition_matrix, transition_matrix_bruteforce
 from carrychain.eulerian import v_closed
-from carrychain.exactmath import ExactMatrix
+from carrychain.exactmath import ExactMatrix, determinant
 from carrychain.numeration import NumerationSystem
 from carrychain.spectral import (
     chain_spectrum,
     chain_stationary,
     commutes,
     eigen_matrix,
-    spectrum_probe,
     verify_diagonalization,
 )
+
+
+def spectrum_probe(P: ExactMatrix,
+                   candidates: list[Fraction]) -> list[tuple[Fraction, bool]]:
+    """Exact eigenvalue membership test for each candidate rational.
+
+    A candidate lam is an eigenvalue iff det(P - lam I) = 0; the
+    determinant is exact, so there are no tolerance questions.
+    """
+    rows = P.to_lists()
+    out = []
+    for lam in candidates:
+        lam = Fraction(lam)
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(rows)]
+        out.append((lam, determinant(ExactMatrix(shifted)) == 0))
+    return out
 
 
 def spec(b, d, n, negative=False):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carrychain import uniformsum
 from carrychain.eulerian import v_closed
 from carrychain.uniformsum import (
     interval_prob,
@@ -73,6 +74,19 @@ def test_interval_probs_checks_before_any_work():
         with pytest.raises(ValueError) as exc:
             interval_probs(n, p)
         assert str(exc.value) == message
+
+
+def test_interval_probs_evaluates_each_cdf_point_once(monkeypatch):
+    calls = []
+    real_cdf = uniformsum._cdf
+    monkeypatch.setattr(uniformsum, "_cdf",
+                        lambda n, x: calls.append(x) or real_cdf(n, x))
+    for p in (Fraction(1), Fraction(2), Fraction(5, 3), Fraction(7, 2)):
+        for n in range(1, 13):
+            per_k = [interval_prob(n, p, k) for k in range(n + 1)]
+            calls.clear()
+            assert interval_probs(n, p) == per_k
+            assert len(calls) == n + 2
 
 
 def test_float_path_tracks_exact_path():
