@@ -47,13 +47,6 @@ def parse_digit_set(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from exc
 
 
-def rat_text(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _emit_json(value, pad: str, out: list) -> None:
     """Append the json.dumps(..., indent=2) text of value, nested at pad.
 
@@ -103,8 +96,6 @@ def render(doc: dict, fmt: str, stream) -> None:
 
 
 def _cell(value) -> str:
-    if isinstance(value, Fraction):
-        return rat_text(value)
     if isinstance(value, bool):
         return "pass" if value else "FAIL"
     return str(value)
@@ -159,7 +150,7 @@ def _emit_pretty(command: str, fields, stream) -> None:
 
 def _document(args, payload: dict) -> dict:
     """The output document; inputs echo the parsed options in argparse order."""
-    inputs = {key: rat_text(value) if isinstance(value, Fraction) else value
+    inputs = {key: str(value) if isinstance(value, Fraction) else value
               for key, value in vars(args).items()
               if key not in ("command", "func", "format", "char_poly")}
     return {
@@ -186,12 +177,16 @@ def cmd_triangle(args) -> tuple[dict, int]:
         "rows": rows,
         "row_sums": [sum(row, Fraction(0)) for row in rows],
     }
-    return _document(args, payload), EXIT_OK
+    return payload, EXIT_OK
 
 
 def cmd_matrix(args) -> tuple[dict, int]:
     signed_base = -args.base if args.negative else args.base
     if args.digits is not None:
+        if args.base < 2:
+            raise ValueError(f"base magnitude must be >= 2, got {args.base}")
+        if args.d is not None:
+            raise ValueError("--d and --digits cannot be combined")
         states, P = carries.transition_matrix_bruteforce(
             signed_base, args.digits, args.n)
         p = None
@@ -214,7 +209,7 @@ def cmd_matrix(args) -> tuple[dict, int]:
     }
     if args.char_poly:
         payload["char_poly_ascending"] = char_poly(P).coefficients
-    return _document(args, payload), EXIT_OK
+    return payload, EXIT_OK
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -239,7 +234,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "verified": report.verified,
     }
     code = EXIT_OK if report.verified else EXIT_VERIFICATION_FAILED
-    return _document(args, payload), code
+    return payload, code
 
 
 def cmd_find_system(args) -> tuple[dict, int]:
@@ -252,7 +247,7 @@ def cmd_find_system(args) -> tuple[dict, int]:
         "d": sys_.d,
         "verified_p": carries.p_param(spec),
     }
-    return _document(args, payload), EXIT_OK
+    return payload, EXIT_OK
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
@@ -272,12 +267,12 @@ def cmd_simulate(args) -> tuple[dict, int]:
         "seed": args.seed,
         "burn_in": args.burn_in,
         "generator": result.generator,
-        "counts": {str(k): v for k, v in result.counts.items()},
-        "empirical": {str(k): repr(v) for k, v in result.empirical.items()},
+        "counts": result.counts,
+        "empirical": {k: repr(v) for k, v in result.empirical.items()},
         "exact_stationary": exact,
         "tv_distance": repr(result.tv_distance),
     }
-    return _document(args, payload), EXIT_OK
+    return payload, EXIT_OK
 
 
 def cmd_uniform_sum(args) -> tuple[dict, int]:
@@ -293,7 +288,7 @@ def cmd_uniform_sum(args) -> tuple[dict, int]:
         "match": probs == row,
     }
     code = EXIT_OK if probs == row else EXIT_VERIFICATION_FAILED
-    return _document(args, payload), code
+    return payload, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of carry Markov chains and generalized "
                     "Eulerian triangles.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("pretty", "csv", "json"),
-                       default="json")
 
     def add_system(p, need_d=True):
         p.add_argument("--base", type=int, required=True,
@@ -320,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="generalized Eulerian triangle rows")
     p.add_argument("--p", type=parse_rational, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("matrix", help="exact transition matrix")
@@ -330,19 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "path; spectral predictions do not apply)")
     p.add_argument("--char-poly", action="store_true",
                    help="include the characteristic polynomial")
-    add_format(p)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("verify", help="exact diagonalization checks")
     add_system(p)
-    add_format(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find-system",
                        help="positive-base system realizing a given p")
     p.add_argument("--p", type=parse_rational, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=cmd_find_system)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo run")
@@ -350,16 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=1000)
-    add_format(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("uniform-sum",
                        help="interval probabilities of sums of uniforms")
     p.add_argument("--p", type=parse_rational, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=cmd_uniform_sum)
 
+    # Added last so it stays the last option in every usage line.
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("pretty", "csv", "json"),
+                       default="json")
     return parser
 
 
@@ -367,11 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, code = args.func(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+        payload, code = args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    render(doc, args.format, sys.stdout)
+    render(_document(args, payload), args.format, sys.stdout)
     return code
 
 

@@ -123,14 +123,15 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
 
 
 def commutes(spec1: ChainSpec, spec2: ChainSpec) -> bool:
-    """Exact check that two same-(n, p, m) chains have commuting matrices."""
+    """Exact check that two same-(n, p) chains have commuting matrices.
+
+    (n, p) fixes the state count: n states when p = 1, else n + 1.
+    """
     if spec1.n != spec2.n:
         raise ValueError(f"summand counts differ: {spec1.n} != {spec2.n}")
     if p_param(spec1) != p_param(spec2):
         raise ValueError(
             f"parameters differ: {p_param(spec1)} != {p_param(spec2)}")
-    if state_space(spec1).size != state_space(spec2).size:
-        raise ValueError("state-space sizes differ")
     p1 = transition_matrix(spec1)
     p2 = transition_matrix(spec2)
     return p1 @ p2 == p2 @ p1

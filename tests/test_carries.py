@@ -40,6 +40,13 @@ def test_state_space_size_rule():
     assert state_space(spec(3, -1, 2)).size == 3        # l = -1/2
     assert state_space(spec(3, -1, 3)).size == 3        # (n-1)l = -1
     assert state_space(spec(10, 0, 7)).size == 7        # l = 0
+    # So (n, p) fixes the size: n states exactly when p = 1.
+    for b in range(2, 9):
+        for d in range(-(b - 1), 1):
+            for n in range(1, 6):
+                for neg in (False, True):
+                    s = spec(b, d, n, negative=neg)
+                    assert state_space(s).size == n + (p_param(s) != 1)
 
 
 def test_p_param_examples():

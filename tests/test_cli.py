@@ -141,12 +141,26 @@ def test_usage_errors_exit_two(capsys):
     for n in ("-3", "0"):
         assert run_cli(["matrix", "--base", "2", "--digits=0,1", "--n", n],
                        capsys)[0] == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["triangle", "--p", "two", "--n-max", "3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["triangle", "--p", "1/0", "--n-max", "3"])
-    assert exc.value.code == 2
+    bad_base = "base magnitude must be >= 2, got -3"
+    for argv, err in (
+        (["matrix", "--base", "-3", "--d", "-1", "--n", "2"], bad_base),
+        (["matrix", "--base", "-3", "--digits=-1,0,4", "--n", "2"], bad_base),
+        (["matrix", "--base", "-3", "--digits=-1,0,4", "--n", "2",
+          "--negative"], bad_base),
+        (["matrix", "--base", "3", "--d", "5", "--digits=0,1,2", "--n", "2"],
+         "--d and --digits cannot be combined"),
+        (["matrix", "--base", "3", "--digits=0,1", "--n", "2"],
+         "no digit with residue 2 mod 3; digit set is incomplete"),
+        (["triangle", "--p", "2", "--n-max", "-1"], "n_max must be >= 0, got -1"),
+    ):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {err}\n"), argv
+    for argv in (["triangle", "--p", "two", "--n-max", "3"],
+                 ["triangle", "--p", "1/0", "--n-max", "3"],
+                 ["matrix", "--base", "3", "--digits=a,b", "--n", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_matrix_digits_carry_window_grows_with_n(capsys):
@@ -191,9 +205,9 @@ def test_uniform_sum_reports_match(capsys):
 
 
 def _documents(argv):
-    """The document a command builds, before rendering."""
+    """The document main renders for argv."""
     args = cli.build_parser().parse_args(argv)
-    return args.func(args)[0]
+    return cli._document(args, args.func(args)[0])
 
 
 def _json_render_argvs():

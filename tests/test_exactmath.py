@@ -63,6 +63,16 @@ def test_matmul_dimension_mismatch():
         a @ a
 
 
+def test_malformed_and_non_square_inputs_raise():
+    for entries in ([], [[]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            ExactMatrix(entries)
+    wide = ExactMatrix([[1, 2]])
+    for f in (determinant, is_nonsingular, char_poly):
+        with pytest.raises(ValueError, match="non-square"):
+            f(wide)
+
+
 def test_row_sums_and_trace():
     m = ExactMatrix([[Fraction(1, 3), Fraction(2, 3)],
                      [Fraction(1, 2), Fraction(1, 2)]])
