@@ -4,15 +4,16 @@ Every subcommand emits a single OutputDocument: JSON (default for piping),
 CSV, or an aligned pretty table. Fractions are serialized as decimal-string
 pairs {"num": ..., "den": ...} so exactness survives any JSON consumer.
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-error.
+error, 3 internal error (a library self-check failed).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 from fractions import Fraction
+from math import gcd
 
 # spectral, simulate, uniformsum and eulerian are imported inside the commands
 # that use them, so a request does not load (and compile) the others.
@@ -25,6 +26,7 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def parse_rational(text: str) -> Fraction:
@@ -47,48 +49,78 @@ def parse_digit_set(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _emit_json(value, pad: str, out: list) -> None:
-    """Append the json.dumps(..., indent=2) text of value, nested at pad.
+def _scalar(value) -> str:
+    """json.dumps(value); json is imported only for floats, text that needs
+    escapes and other rare scalars."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return str(value)
+    if (type(value) is str and value.isascii() and value.isprintable()
+            and '"' not in value and "\\" not in value):
+        return f'"{value}"'
+    import json
+
+    return json.dumps(value)
+
+
+def _emit_json(value, pad: str, write) -> None:
+    """Write the json.dumps(..., indent=2) text of value, nested at pad.
 
     Fractions (and matrix entries) become {"num", "den"} decimal strings,
-    tuples become lists and keys become str(key).
+    tuples become lists and keys become str(key). A matrix is written one
+    row at a time, straight from its reduced int rows.
     """
-    if isinstance(value, ExactMatrix):
-        value = value.to_lists()
     inner = pad + "  "
-    if isinstance(value, Fraction):
-        out.append(f'{{\n{inner}"num": "{value.numerator}",\n'
-                   f'{inner}"den": "{value.denominator}"\n{pad}}}')
+    if isinstance(value, ExactMatrix):
+        cell = inner + "  "
+        field = cell + "  "
+        sep = "[\n" + inner
+        for row, den in value.int_rows():
+            entries = []
+            for x in row:
+                g = gcd(x, den)
+                entries.append(f'{{\n{field}"num": "{x // g}",\n'
+                               f'{field}"den": "{den // g}"\n{cell}}}')
+            write(f"{sep}[\n{cell}" + f",\n{cell}".join(entries)
+                  + f"\n{inner}]")
+            sep = ",\n" + inner
+        write("\n" + pad + "]")
+    elif isinstance(value, Fraction):
+        write(f'{{\n{inner}"num": "{value.numerator}",\n'
+              f'{inner}"den": "{value.denominator}"\n{pad}}}')
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         sep = "{\n" + inner
         for key, item in value.items():
-            out.append(sep + json.dumps(str(key)) + ": ")
-            _emit_json(item, inner, out)
+            write(sep + _scalar(str(key)) + ": ")
+            _emit_json(item, inner, write)
             sep = ",\n" + inner
-        out.append("\n" + pad + "}")
+        write("\n" + pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            write("[]")
             return
         sep = "[\n" + inner
         for item in value:
-            out.append(sep)
-            _emit_json(item, inner, out)
+            write(sep)
+            _emit_json(item, inner, write)
             sep = ",\n" + inner
-        out.append("\n" + pad + "]")
+        write("\n" + pad + "]")
     else:
-        out.append(json.dumps(value))
+        write(_scalar(value))
 
 
 def render(doc: dict, fmt: str, stream) -> None:
     if fmt == "json":
-        out: list[str] = []
-        _emit_json(doc, "", out)
-        out.append("\n")
-        stream.write("".join(out))
+        _emit_json(doc, "", stream.write)
+        stream.write("\n")
     elif fmt == "csv":
         _emit_csv(_fields(doc["payload"]), stream)
     else:
@@ -360,9 +392,21 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     render(_document(args, payload), args.format, sys.stdout)
     return code
 
 
+def run() -> int:
+    """The ``carrychain`` command: main(), then gc.freeze(), so that the
+    collections at interpreter exit skip every live object. Refcount frees,
+    atexit handlers and the output flush still run."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

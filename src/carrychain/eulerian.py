@@ -38,9 +38,12 @@ def alternating_sums(n: int, f: list[int], cols) -> list[int]:
 
     v_closed's sum in integers, behind the eigenvector rows, the stationary
     vector and the closed-form transition matrix; f needs max(cols)+1 values.
+    C(n+1, r) = 0 for r > n+1, so at most n+2 terms are nonzero.
     """
-    signed = [(-1) ** r * comb(n + 1, r) for r in range(len(f))]
-    return [sum(map(mul, signed[:j + 1], reversed(f[:j + 1]))) for j in cols]
+    signed = [(-1) ** r * comb(n + 1, r) for r in range(min(len(f), n + 2))]
+    # rev[last-j+r] = f[j-r]; map stops at the shorter of the two.
+    rev, last = f[::-1], len(f) - 1
+    return [sum(map(mul, signed, rev[last - j:])) for j in cols]
 
 
 def triangle_recurrence(n_max: int, p) -> list[list[Fraction]]:

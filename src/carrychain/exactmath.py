@@ -8,10 +8,10 @@ ints; Fractions appear only where values enter or leave a matrix.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
 
 # A Mersenne prime: det mod it certifies nonsingularity (see is_nonsingular).
 _PRIME = (1 << 61) - 1
@@ -47,6 +47,10 @@ class ExactMatrix:
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return Fraction(self._num[i][j], self._den[i])
+
+    def int_rows(self):
+        """(row, den) pairs, row i being row / den in reduced form; read only."""
+        return zip(self._num, self._den)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [[Fraction(x, d) for x in row]

@@ -71,11 +71,15 @@ def chain_stationary(spec: ChainSpec) -> list[Fraction]:
 
 
 def _first_diff(a: ExactMatrix, b: ExactMatrix) -> str:
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return f"first mismatch at ({i},{j}): {a[i, j]} != {b[i, j]}"
-    return ""
+    """The first mismatch of two unequal same-shape matrices, and its extent."""
+    a_rows, b_rows = a.to_lists(), b.to_lists()
+    bad = [(i, j) for i, (ra, rb) in enumerate(zip(a_rows, b_rows))
+           for j, (x, y) in enumerate(zip(ra, rb)) if x != y]
+    i, j = bad[0]
+    rows = len({r for r, _ in bad})
+    return (f"first mismatch at ({i},{j}): {a_rows[i][j]} != {b_rows[i][j]}; "
+            f"{len(bad)} of {a.rows * a.cols} entries in {rows} of {a.rows} "
+            f"rows differ")
 
 
 def verify_diagonalization(spec: ChainSpec) -> ChainReport:
@@ -83,7 +87,9 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
 
     Checks: rows of P sum to 1; V P = D V with D = diag(spectrum);
     det(V) != 0 (so V really diagonalizes P); pi P = pi; sum(pi) = 1.
-    All comparisons are exact; failures carry a structured diff.
+    When V P = D V holds, det(V) != 0 is proved from it (no zero row);
+    otherwise is_nonsingular decides. All comparisons are exact; failures
+    carry a structured diff.
     """
     space = state_space(spec)
     m = space.size
@@ -102,10 +108,17 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
         "" if not bad_rows else f"rows {bad_rows} sum to {[sums[i] for i in bad_rows]}")
 
     VP, DV = V @ P, V.scale_rows(spectrum)
-    diff = "" if VP == DV else _first_diff(VP, DV)
-    verdicts["eigenvector_equation"] = CheckResult(not diff, diff)
+    equation = VP == DV
+    verdicts["eigenvector_equation"] = CheckResult(
+        equation, "" if equation else _first_diff(VP, DV))
 
-    nonsingular = is_nonsingular(V)
+    if equation and len(set(spectrum)) == m:
+        # Each row of V is then a left eigenvector of P for its own, pairwise
+        # distinct eigenvalue, and such vectors are linearly independent
+        # unless one is zero: det(V) != 0 iff no row of V is zero.
+        nonsingular = all(any(row) for row, _ in V.int_rows())
+    else:
+        nonsingular = is_nonsingular(V)
     verdicts["eigenbasis_nonsingular"] = CheckResult(
         nonsingular, "" if nonsingular else "det(V) = 0")
 

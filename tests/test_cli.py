@@ -1,12 +1,19 @@
 """CLI contract tests: golden outputs, exit codes, and determinism."""
 
+import gc
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import carrychain.carries
 import carrychain.cli as cli
 import carrychain.spectral
 from carrychain.carries import ChainSpec, transition_matrix
@@ -109,22 +116,95 @@ def test_verify_exit_zero_on_reference_systems(capsys):
 
 
 def test_verify_corrupted_matrix_exits_one(monkeypatch, capsys):
-    real = carrychain.spectral.transition_matrix
-
-    def corrupted(spec):
-        rows = real(spec).to_lists()
+    def swap_two_entries(rows):
         rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
-        return ExactMatrix(rows)
 
-    monkeypatch.setattr(carrychain.spectral, "transition_matrix", corrupted)
-    code, out = run_cli(
-        ["verify", "--base", "3", "--d", "-1", "--n", "2", "--format", "json"],
-        capsys)
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["payload"]["verified"] is False
-    diffs = doc["payload"]["diffs"]
-    assert any("mismatch" in d for d in diffs.values())
+    def change_one_entry(rows):
+        rows[1][1] += 1
+
+    # A corrupted P or a corrupted V each break V P = D V.
+    for name, edit in (("transition_matrix", swap_two_entries),
+                       ("eigen_matrix", change_one_entry)):
+        real = getattr(carrychain.spectral, name)
+
+        def corrupted(*args, real=real, edit=edit, **kwargs):
+            rows = real(*args, **kwargs).to_lists()
+            edit(rows)
+            return ExactMatrix(rows)
+
+        monkeypatch.setattr(carrychain.spectral, name, corrupted)
+        code, out = run_cli(
+            ["verify", "--base", "3", "--d", "-1", "--n", "2", "--format", "json"],
+            capsys)
+        monkeypatch.undo()
+        assert code == 1, name
+        doc = json.loads(out)
+        assert doc["payload"]["verified"] is False
+        detail = doc["payload"]["diffs"]["eigenvector_equation"]
+        assert detail.startswith("first mismatch at "), name
+        assert " entries in " in detail, name
+
+
+def python_m(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the carrychain package these tests import."""
+    root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_python_m_keeps_output_and_exit_codes():
+    proc = python_m("-m", "carrychain.cli", *dict(GOLDEN_CASES)["verify.json"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, (GOLDEN / "verify.json").read_text(), "")
+    proc = python_m("-m", "carrychain.cli", "find-system", "--p", "1/2", "--n", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: p must be >= 1, got 1/2\n")
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    # A wrong p_param trips find_system's self-check, a RuntimeError.
+    argv = ["find-system", "--p", "5/3", "--n", "4"]
+    err = "internal error: constructed system has p=0, expected 5/3 (internal error)\n"
+    monkeypatch.setattr(carrychain.carries, "p_param", lambda spec: Fraction(0))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", err)
+    proc = python_m("-c", f"""if True:
+        import runpy, sys
+        import carrychain.carries
+        carrychain.carries.p_param = lambda spec: 0
+        sys.argv = ["carrychain", *{argv!r}]
+        runpy.run_module("carrychain.cli", run_name="__main__")""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
+def test_only_run_freezes_the_gc(monkeypatch, capsys):
+    argv = ["verify", "--base", "3", "--d", "-1", "--n", "2"]
+    before = gc.get_freeze_count()
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["carrychain", *argv])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.count('"verified": true') == 2
+
+
+@given(st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                 st.floats(allow_nan=True, allow_infinity=True)))
+@example("plain ASCII text ~ /")
+@example('say "q"')
+@example("back\\slash")
+@example("tab\t")
+@example("DEL\x7f")
+@example("caf\u00e9 \U0001d49e nl\n \x00 \x1f")
+@example(float("nan"))
+@example(float("-inf"))
+@example(10 ** 40)
+def test_scalar_fast_path_matches_json_dumps(value):
+    assert cli._scalar(value) == json.dumps(value)
 
 
 def test_usage_errors_exit_two(capsys):

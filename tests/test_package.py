@@ -50,12 +50,14 @@ def test_cli_imports_only_what_a_command_needs():
     bare = _imported("-c", "pass")
     cli = _imported("-c", "import carrychain.cli") - bare
     assert {"carrychain.cli", "carrychain.carries"} <= cli
-    assert not cli & {"dataclasses", "inspect", "random", "carrychain.spectral",
-                      "carrychain.simulate", "carrychain.uniformsum"}
+    assert not cli & {"dataclasses", "inspect", "json", "random", "typing",
+                      "carrychain.spectral", "carrychain.simulate",
+                      "carrychain.uniformsum"}
     verify = _imported("-m", "carrychain.cli", "verify", "--base", "3",
                        "--d", "-1", "--n", "2") - bare
     assert "carrychain.spectral" in verify
-    assert not verify & {"dataclasses", "inspect", "carrychain.simulate"}
+    assert not verify & {"dataclasses", "inspect", "json", "typing",
+                         "carrychain.simulate"}
 
 
 def _records():

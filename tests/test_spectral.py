@@ -5,9 +5,10 @@ from math import gcd
 
 import pytest
 
+import carrychain.spectral as spectral
 from carrychain.carries import ChainSpec, transition_matrix, transition_matrix_bruteforce
 from carrychain.eulerian import v_closed
-from carrychain.exactmath import ExactMatrix, determinant
+from carrychain.exactmath import ExactMatrix, determinant, is_nonsingular
 from carrychain.numeration import NumerationSystem
 from carrychain.spectral import (
     chain_spectrum,
@@ -139,14 +140,60 @@ def test_spectrum_probe_sparse_digit_chain():
     assert all(hit for _, hit in probed)
 
 
-def test_verify_reports_structured_diff_on_corruption():
+def corrupt_eigen_matrix(monkeypatch, edit):
+    """Make verify_diagonalization see eigen_matrix's V with edit(rows)
+    applied; returns the list of matrices is_nonsingular is called on."""
+    calls = []
+
+    def corrupted(*args, **kwargs):
+        rows = eigen_matrix(*args, **kwargs).to_lists()
+        edit(rows)
+        return ExactMatrix(rows)
+
+    def counted(a):
+        calls.append(a)
+        return is_nonsingular(a)
+
+    monkeypatch.setattr(spectral, "eigen_matrix", corrupted)
+    monkeypatch.setattr(spectral, "is_nonsingular", counted)
+    return calls
+
+
+def test_verify_reports_structured_diff_on_corruption(monkeypatch):
+    # V = [[1, 6, 1], [1, 0, -1], [1, -2, 1]] for the base-3 d=-1 n=2 chain.
+    def zero_row(rows):
+        rows[1] = [0] * len(rows[1])
+
+    calls = corrupt_eigen_matrix(monkeypatch, zero_row)
+    verdicts = verify_diagonalization(spec(3, -1, 2)).verdicts
+    assert verdicts["eigenvector_equation"] == (True, "")
+    assert verdicts["eigenbasis_nonsingular"] == (False, "det(V) = 0")
+    assert calls == []
+
+    def bump_two_rows(rows):
+        rows[1][1] += 1
+        rows[2][1] += 1
+
+    calls = corrupt_eigen_matrix(monkeypatch, bump_two_rows)
     report = verify_diagonalization(spec(3, -1, 2))
-    # Recheck with a corrupted stationary vector through the public pieces:
-    bad = list(report.pi)
-    bad[0], bad[1] = bad[1], bad[0]
-    P = report.P
-    moved = [sum(bad[k] * P[k, j] for k in range(3)) for j in range(3)]
-    assert moved != bad
+    assert report.verdicts["eigenvector_equation"] == (
+        False, "first mismatch at (1,0): 4/9 != 1/3; "
+               "6 of 9 entries in 2 of 3 rows differ")
+    assert report.verdicts["eigenbasis_nonsingular"] == (True, "")
+    assert calls == [report.V]
+    assert not report.verified
+
+
+def test_eigenbasis_certificate_agrees_with_is_nonsingular():
+    for negative in (False, True):
+        for b in range(2, 8):
+            for d in range(-(b - 1), 1):
+                for n in range(1, 9):
+                    report = verify_diagonalization(spec(b, d, n, negative))
+                    verdicts = report.verdicts
+                    assert verdicts["eigenvector_equation"].passed
+                    assert (verdicts["eigenbasis_nonsingular"].passed
+                            == is_nonsingular(report.V)), (b, d, n, negative)
 
 
 def test_grid_diagonalization_modest():
