@@ -13,12 +13,11 @@ import argparse
 import gc
 import sys
 from fractions import Fraction
-from math import gcd
 
 # spectral, simulate, uniformsum and eulerian are imported inside the commands
 # that use them, so a request does not load (and compile) the others.
 from . import carries
-from .exactmath import ExactMatrix, char_poly
+from .exactmath import ExactMatrix, char_poly, ratio_text
 from .numeration import NumerationSystem
 
 SCHEMA_VERSION = "1"
@@ -73,21 +72,18 @@ def _emit_json(value, pad: str, write) -> None:
 
     Fractions (and matrix entries) become {"num", "den"} decimal strings,
     tuples become lists and keys become str(key). A matrix is written one
-    row at a time, straight from its reduced int rows.
+    row at a time from ratios(), the reduced pairs csv and pretty read too.
     """
     inner = pad + "  "
     if isinstance(value, ExactMatrix):
         cell = inner + "  "
-        field = cell + "  "
+        head = f'{{\n{cell}  "num": "'
+        mid, tail = f'",\n{cell}  "den": "', f'"\n{cell}}}'
         sep = "[\n" + inner
-        for row, den in value.int_rows():
-            entries = []
-            for x in row:
-                g = gcd(x, den)
-                entries.append(f'{{\n{field}"num": "{x // g}",\n'
-                               f'{field}"den": "{den // g}"\n{cell}}}')
-            write(f"{sep}[\n{cell}" + f",\n{cell}".join(entries)
-                  + f"\n{inner}]")
+        for row in value.ratios():
+            write(f"{sep}[\n{cell}" + f",\n{cell}".join(
+                [f"{head}{num}{mid}{den}{tail}" for num, den in row])
+                + f"\n{inner}]")
             sep = ",\n" + inner
         write("\n" + pad + "]")
     elif isinstance(value, Fraction):
@@ -138,8 +134,9 @@ def _fields(payload: dict):
     text cells, "mapping" with (name, text) pairs, or "line" with text cells."""
     for key, value in payload.items():
         if isinstance(value, ExactMatrix):
-            value = value.to_lists()
-        if isinstance(value, list) and value and isinstance(value[0], list):
+            yield key, "table", [[ratio_text(num, den) for num, den in row]
+                                 for row in value.ratios()]
+        elif isinstance(value, list) and value and isinstance(value[0], list):
             yield key, "table", [[_cell(x) for x in row] for row in value]
         elif isinstance(value, list):
             yield key, "line", [_cell(x) for x in value]

@@ -44,13 +44,14 @@ class ExactMatrix:
         out.rows, out.cols = len(num), len(num[0])
         return out
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return Fraction(self._num[i][j], self._den[i])
-
     def int_rows(self):
         """(row, den) pairs, row i being row / den in reduced form; read only."""
         return zip(self._num, self._den)
+
+    def ratios(self):
+        """Each row as a list of reduced (num, den) int pairs, den > 0."""
+        for row, den in zip(self._num, self._den):
+            yield [(x // (g := gcd(x, den)), den // g) for x in row]
 
     def to_lists(self) -> list[list[Fraction]]:
         return [[Fraction(x, d) for x in row]
@@ -61,7 +62,9 @@ class ExactMatrix:
                 and self._den == other._den and self._num == other._num)
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.to_lists()!r})"
+        rows = ["[" + ", ".join(f"Fraction({x}, {d})" for x, d in row) + "]"
+                for row in self.ratios()]
+        return f"ExactMatrix([{', '.join(rows)}])"
 
     @property
     def is_square(self) -> bool:
@@ -93,6 +96,11 @@ class ExactMatrix:
 
     def row_sums(self) -> list[Fraction]:
         return [Fraction(sum(row), d) for row, d in zip(self._num, self._den)]
+
+
+def ratio_text(num: int, den: int) -> str:
+    """The text of num/den as str(Fraction) writes it: "num" when den is 1."""
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def determinant(a: ExactMatrix) -> Fraction:

@@ -3,8 +3,9 @@
 The left eigenvector matrix V is built from the generalized Eulerian array,
 the predicted spectrum is (1, base^-1, ..., base^-(m-1)) with the signed
 base, and every claim (V P = D V, det V != 0, pi P = pi, row-stochasticity)
-is checked by exact rational equality. Failures are reported as structured
-diffs, never silently.
+is checked by exact rational equality. Every matrix check fails the same
+way: the first mismatching entry as reduced num/den text, and how many
+entries and rows differ.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .carries import ChainSpec, p_param, state_space, transition_matrix
 from .eulerian import alternating_sums, stationary
-from .exactmath import ExactMatrix, is_nonsingular
+from .exactmath import ExactMatrix, is_nonsingular, ratio_text
 
 
 class CheckResult(namedtuple("CheckResult", "passed detail", defaults=("",))):
@@ -70,16 +71,19 @@ def chain_stationary(spec: ChainSpec) -> list[Fraction]:
     return pi[::-1] if spec.system.negative else pi
 
 
-def _first_diff(a: ExactMatrix, b: ExactMatrix) -> str:
-    """The first mismatch of two unequal same-shape matrices, and its extent."""
-    a_rows, b_rows = a.to_lists(), b.to_lists()
-    bad = [(i, j) for i, (ra, rb) in enumerate(zip(a_rows, b_rows))
-           for j, (x, y) in enumerate(zip(ra, rb)) if x != y]
-    i, j = bad[0]
-    rows = len({r for r, _ in bad})
-    return (f"first mismatch at ({i},{j}): {a_rows[i][j]} != {b_rows[i][j]}; "
-            f"{len(bad)} of {a.rows * a.cols} entries in {rows} of {a.rows} "
-            f"rows differ")
+def _compare(got: ExactMatrix, want: ExactMatrix) -> CheckResult:
+    """CheckResult of got == want, with the first mismatch and its extent."""
+    if got == want:
+        return CheckResult(True)
+    bad = [(i, j, x, y)
+           for i, (a, b) in enumerate(zip(got.ratios(), want.ratios()))
+           for j, (x, y) in enumerate(zip(a, b)) if x != y]
+    i, j, x, y = bad[0]
+    rows = len({r for r, *_ in bad})
+    return CheckResult(False, (
+        f"first mismatch at ({i},{j}): {ratio_text(*x)} != {ratio_text(*y)}; "
+        f"{len(bad)} of {got.rows * got.cols} entries in {rows} of {got.rows} "
+        f"rows differ"))
 
 
 def verify_diagonalization(spec: ChainSpec) -> ChainReport:
@@ -88,8 +92,8 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
     Checks: rows of P sum to 1; V P = D V with D = diag(spectrum);
     det(V) != 0 (so V really diagonalizes P); pi P = pi; sum(pi) = 1.
     When V P = D V holds, det(V) != 0 is proved from it (no zero row);
-    otherwise is_nonsingular decides. All comparisons are exact; failures
-    carry a structured diff.
+    otherwise is_nonsingular decides. Row sums, V P = D V and pi P = pi are
+    compared as matrices, so each failure counts what differs (_compare).
     """
     space = state_space(spec)
     m = space.size
@@ -100,19 +104,11 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
     pi = chain_stationary(spec)
 
     verdicts: dict[str, CheckResult] = {}
+    verdicts["row_stochastic"] = _compare(
+        ExactMatrix([[s] for s in P.row_sums()]), ExactMatrix([[1]] * m))
+    verdicts["eigenvector_equation"] = _compare(V @ P, V.scale_rows(spectrum))
 
-    sums = P.row_sums()
-    bad_rows = [i for i, s in enumerate(sums) if s != 1]
-    verdicts["row_stochastic"] = CheckResult(
-        not bad_rows,
-        "" if not bad_rows else f"rows {bad_rows} sum to {[sums[i] for i in bad_rows]}")
-
-    VP, DV = V @ P, V.scale_rows(spectrum)
-    equation = VP == DV
-    verdicts["eigenvector_equation"] = CheckResult(
-        equation, "" if equation else _first_diff(VP, DV))
-
-    if equation and len(set(spectrum)) == m:
+    if verdicts["eigenvector_equation"].passed and len(set(spectrum)) == m:
         # Each row of V is then a left eigenvector of P for its own, pairwise
         # distinct eigenvalue, and such vectors are linearly independent
         # unless one is zero: det(V) != 0 iff no row of V is zero.
@@ -122,10 +118,8 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
     verdicts["eigenbasis_nonsingular"] = CheckResult(
         nonsingular, "" if nonsingular else "det(V) = 0")
 
-    pi_next = (ExactMatrix([pi]) @ P).to_lists()[0]
-    verdicts["stationary_fixed"] = CheckResult(
-        pi_next == pi,
-        "" if pi_next == pi else f"pi P = {pi_next}, pi = {pi}")
+    pi_row = ExactMatrix([pi])
+    verdicts["stationary_fixed"] = _compare(pi_row @ P, pi_row)
 
     total = sum(pi, Fraction(0))
     verdicts["stationary_normalized"] = CheckResult(

@@ -69,9 +69,40 @@ def reference_json(doc) -> str:
     return json.dumps(_jsonify(doc), indent=2) + "\n"
 
 
-def rendered_json(doc) -> str:
+def rendered(doc, fmt: str = "json") -> str:
     out = io.StringIO()
-    cli.render(doc, "json", out)
+    cli.render(doc, fmt, out)
+    return out.getvalue()
+
+
+def _reference_fields(payload):
+    """Reference csv/pretty walk: matrices through to_lists(), every rational
+    cell as str(Fraction)."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "pass" if value else "FAIL"
+        return str(value)
+
+    for key, value in payload.items():
+        if isinstance(value, ExactMatrix):
+            value = value.to_lists()
+        if isinstance(value, list) and value and isinstance(value[0], list):
+            yield key, "table", [[cell(x) for x in row] for row in value]
+        elif isinstance(value, list):
+            yield key, "line", [cell(x) for x in value]
+        elif isinstance(value, dict):
+            yield key, "mapping", [(k, cell(v)) for k, v in value.items()]
+        else:
+            yield key, "line", [cell(value)]
+
+
+def reference_text(doc, fmt: str) -> str:
+    out = io.StringIO()
+    fields = _reference_fields(doc["payload"])
+    if fmt == "csv":
+        cli._emit_csv(fields, out)
+    else:
+        cli._emit_pretty(doc["command"], fields, out)
     return out.getvalue()
 
 
@@ -309,7 +340,35 @@ def _json_render_argvs():
 def test_json_emitter_matches_reference_on_commands():
     for argv in _json_render_argvs():
         doc = _documents(argv)
-        assert rendered_json(doc) == reference_json(doc), argv
+        assert rendered(doc) == reference_json(doc), argv
+
+
+def test_csv_and_pretty_match_reference_on_commands():
+    for argv in _json_render_argvs():
+        doc = _documents(argv)
+        for fmt in ("csv", "pretty"):
+            assert rendered(doc, fmt) == reference_text(doc, fmt), (argv, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+@pytest.mark.parametrize("matrix", [
+    ExactMatrix.from_int_rows([[6, -4, 0], [0, 0, 0]], [8, 5]),
+    ExactMatrix([[1, -20, 300], [0, 7, -1]]),
+    ExactMatrix([[Fraction(-1, 3), Fraction(-5, 6)], [Fraction(-10, 4), -3]]),
+], ids=["unreduced", "integer-rows", "negative"])
+def test_csv_and_pretty_match_reference_on_synthetic_matrices(matrix, fmt):
+    doc = {"command": "synthetic",
+           "payload": {"matrix": matrix, "p": Fraction(-7, 3),
+                       "rows": matrix.to_lists(), "checks": {"ok": True}}}
+    assert rendered(doc, fmt) == reference_text(doc, fmt)
+
+
+def test_csv_and_pretty_reduce_matrix_entries():
+    doc = {"command": "synthetic", "payload": {
+        "matrix": ExactMatrix.from_int_rows([[6, -4, 0], [0, 0, 0]], [8, 5])}}
+    assert rendered(doc, "csv") == "matrix\n3/4,-1/2,0\n0,0,0\n"
+    assert rendered(doc, "pretty") == (
+        "synthetic\nmatrix:\n  3/4  -1/2  0\n    0     0  0\n")
 
 
 @pytest.mark.parametrize("doc", [
@@ -326,4 +385,4 @@ def test_json_emitter_matches_reference_on_commands():
 ], ids=["empty-dict", "empty-list", "nested-empties", "fractions", "scalars",
         "non-str-keys", "escapes", "matrices"])
 def test_json_emitter_matches_reference_on_synthetic_docs(doc):
-    assert rendered_json(doc) == reference_json(doc)
+    assert rendered(doc) == reference_json(doc)

@@ -14,6 +14,7 @@ from carrychain.exactmath import (
     char_poly,
     determinant,
     is_nonsingular,
+    ratio_text,
 )
 from carrychain.numeration import NumerationSystem
 from polynomials import poly_degree, poly_divmod, poly_eval, poly_mul, poly_scale
@@ -44,11 +45,11 @@ def diagonal(values):
 
 
 def test_identity_and_diagonal():
-    ident = identity(3)
-    assert ident[0, 0] == 1 and ident[0, 1] == 0
-    diag = diagonal([1, Fraction(1, 2), Fraction(1, 4)])
-    assert diag[1, 1] == Fraction(1, 2)
-    assert diag[2, 0] == 0
+    ident = identity(3).to_lists()
+    assert ident[0][0] == 1 and ident[0][1] == 0
+    diag = diagonal([1, Fraction(1, 2), Fraction(1, 4)]).to_lists()
+    assert diag[1][1] == Fraction(1, 2)
+    assert diag[2][0] == 0
 
 
 def test_matmul_known_product():
@@ -77,7 +78,8 @@ def test_row_sums_and_trace():
     m = ExactMatrix([[Fraction(1, 3), Fraction(2, 3)],
                      [Fraction(1, 2), Fraction(1, 2)]])
     assert m.row_sums() == [1, 1]
-    assert m[0, 0] + m[1, 1] == Fraction(5, 6)
+    rows = m.to_lists()
+    assert rows[0][0] + rows[1][1] == Fraction(5, 6)
 
 
 def test_determinant_known_values():
@@ -151,9 +153,9 @@ def test_char_poly_diagonal_matrix():
 @settings(max_examples=30, deadline=None)
 @given(small_matrices(3))
 def test_char_poly_evaluates_like_determinant(a):
-    cp = char_poly(a)
+    cp, rows = char_poly(a), a.to_lists()
     for x in (Fraction(0), Fraction(1), Fraction(-2, 3)):
-        shifted = ExactMatrix([[x * (i == j) - a[i, j] for j in range(3)]
+        shifted = ExactMatrix([[x * (i == j) - rows[i][j] for j in range(3)]
                                for i in range(3)])
         assert poly_eval(cp, x) == determinant(shifted)
 
@@ -183,7 +185,10 @@ def test_to_lists_returns_normalized_fractions():
         for x in row:
             assert type(x) is Fraction and x.denominator > 0
     assert [(x.numerator, x.denominator) for x in rows[0]] == [(3, 4), (-1, 2), (0, 1)]
-    assert m[0, 1] == Fraction(-1, 2) and m[1, 2] == 0
+    # ratios() reads the same reduced pairs without building a Fraction.
+    assert list(m.ratios()) == [[(3, 4), (-1, 2), (0, 1)], [(0, 1)] * 3]
+    for x in (Fraction(0), Fraction(-5), Fraction(-3, 4), Fraction(10 ** 30, 7)):
+        assert ratio_text(x.numerator, x.denominator) == str(x)
 
 
 Q = (1 << 61) - 1

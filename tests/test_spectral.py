@@ -204,3 +204,59 @@ def test_grid_diagonalization_modest():
                     report = verify_diagonalization(spec(b, d, n, negative))
                     assert report.verified, (b, d, n, negative,
                                              report.verdicts)
+
+
+def corrupt_transition_matrix(monkeypatch, edit):
+    """Make verify_diagonalization see transition_matrix's P with edit(rows)
+    applied."""
+    def corrupted(chain):
+        rows = transition_matrix(chain).to_lists()
+        edit(rows)
+        return ExactMatrix(rows)
+
+    monkeypatch.setattr(spectral, "transition_matrix", corrupted)
+
+
+def swap_within_row(rows):
+    # Row sums stay 1; pi P = pi and V P = D V break.
+    rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+
+
+def swap_across_rows(rows):
+    # Rows 0 and 1 no longer sum to 1.
+    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+
+
+def test_row_and_stationary_failures_name_the_first_mismatch(monkeypatch):
+    # P = [[3, 6, 0], [1, 7, 1], [0, 6, 3]] / 9 and pi = [1/8, 3/4, 1/8].
+    corrupt_transition_matrix(monkeypatch, swap_across_rows)
+    verdicts = verify_diagonalization(spec(3, -1, 2)).verdicts
+    assert verdicts["row_stochastic"] == (
+        False, "first mismatch at (0,0): 7/9 != 1; "
+               "2 of 3 entries in 2 of 3 rows differ")
+    assert verdicts["stationary_fixed"] == (
+        False, "first mismatch at (0,0): 19/72 != 1/8; "
+               "1 of 3 entries in 1 of 1 rows differ")
+
+    corrupt_transition_matrix(monkeypatch, swap_within_row)
+    verdicts = verify_diagonalization(spec(3, -1, 2)).verdicts
+    assert verdicts["row_stochastic"] == (True, "")
+    assert verdicts["stationary_fixed"] == (
+        False, "first mismatch at (0,0): 1/6 != 1/8; "
+               "2 of 3 entries in 1 of 1 rows differ")
+
+
+def test_failure_details_stay_short_on_large_chains(monkeypatch):
+    for edit, failing in (
+        (swap_within_row, {"eigenvector_equation", "stationary_fixed"}),
+        (swap_across_rows, {"row_stochastic", "eigenvector_equation",
+                            "stationary_fixed"}),
+    ):
+        corrupt_transition_matrix(monkeypatch, edit)
+        report = verify_diagonalization(spec(16, -3, 40))
+        failed = {name: detail for name, (passed, detail)
+                  in report.verdicts.items() if not passed}
+        assert set(failed) == failing, edit
+        for name, detail in failed.items():
+            assert len(detail) < 400 and "Fraction(" not in detail, name
+            assert detail.startswith("first mismatch at "), name
