@@ -12,14 +12,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("carries", "ChainSpec StateSpace find_system p_param state_space "
-                    "transition_matrix transition_matrix_bruteforce"),
+        ("carries", "ChainSpec StateSpace chain_stationary find_system "
+                    "p_param state_space transition_matrix "
+                    "transition_matrix_bruteforce"),
         ("eulerian", "stationary triangle_recurrence v_closed"),
         ("exactmath", "ExactMatrix ExactPolynomial char_poly determinant"),
         ("numeration", "NumerationSystem RepresentableClass evaluate expand"),
         ("simulate", "SimConfig SimResult run_chain tv_distance"),
-        ("spectral", "ChainReport chain_spectrum chain_stationary commutes "
-                     "eigen_matrix verify_diagonalization"),
+        ("spectral", "ChainReport chain_spectrum commutes eigen_matrix "
+                     "verify_diagonalization"),
         ("uniformsum", "interval_prob irwin_hall_cdf"),
     )
     for name in names.split()

@@ -16,8 +16,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .eulerian import alternating_sums
-from .exactmath import ExactMatrix
+# exactmath is imported inside the two matrix builders, so that simulate and
+# find-system do not load it.
+from .eulerian import alternating_sums, stationary
 from .numeration import NumerationSystem
 
 
@@ -63,6 +64,16 @@ def p_param(spec: ChainSpec) -> Fraction:
     return 1 / (x - math.floor(x))
 
 
+def chain_stationary(spec: ChainSpec) -> list[Fraction]:
+    """Stationary vector in ascending state order for the given chain.
+
+    For positive base this is the Eulerian row over p^n n!; for negative
+    base the same vector reversed, mirroring the state order.
+    """
+    pi = stationary(spec.n, p_param(spec))
+    return pi[::-1] if spec.system.negative else pi
+
+
 def _count_binom(m: int, k: int) -> int:
     # Counting binomial: zero below the diagonal and for negative tops.
     return math.comb(m, k) if m >= 0 else 0
@@ -74,6 +85,8 @@ def transition_matrix(spec: ChainSpec) -> ExactMatrix:
     Entry (i, j) is the probability of moving from carry s+i to carry s+j;
     every denominator divides b**n and rows sum to exactly 1.
     """
+    from .exactmath import ExactMatrix
+
     sys_, n = spec.system, spec.n
     b, d = sys_.base_magnitude, sys_.d
     m = state_space(spec).size
@@ -117,6 +130,8 @@ def transition_matrix_bruteforce(
     from the digit set. Requires 0 in the digit set and distinct residues
     mod |base|; residues the digit set cannot emit raise if ever needed.
     """
+    from .exactmath import ExactMatrix
+
     if abs(base) < 2:
         raise ValueError(f"base magnitude must be >= 2, got {base}")
     if 0 not in digit_set:

@@ -52,20 +52,23 @@ def triangle_recurrence(n_max: int, p) -> list[list[Fraction]]:
     Built bottom-up from E_p(0, 0) = 1 by the two-term recurrence
     E_p(n, k) = (pk+1) E_p(n-1, k) + (p(n+1-k)-1) E_p(n-1, k-1),
     independent of the closed form (and cross-checked against it in tests).
+    For p = K/L it runs in integers on F(n, k) = L^n E_p(n, k):
+    F(n, k) = (Kk+L) F(n-1, k) + (K(n+1-k)-L) F(n-1, k-1).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     p = Fraction(p)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    K, L = p.numerator, p.denominator
+    row = [1]
     rows = [[Fraction(1)]]
     for n in range(1, n_max + 1):
-        prev = rows[-1] + [Fraction(0)]
-        rows.append([
-            (p * k + 1) * prev[k]
-            + ((p * (n + 1 - k) - 1) * prev[k - 1] if k else Fraction(0))
-            for k in range(n + 1)
-        ])
+        prev = row + [0]  # prev[k - 1] at k = 0 is this trailing 0
+        row = [(K * k + L) * prev[k] + (K * (n + 1 - k) - L) * prev[k - 1]
+               for k in range(n + 1)]
+        scale = L ** n
+        rows.append([Fraction(x, scale) for x in row])
     return rows
 
 

@@ -1,19 +1,25 @@
 """Seeded Monte Carlo simulation of the carries process.
 
 Digits are drawn i.i.d. uniformly from the digit set; the carry recursion is
-applied exactly in integers. Results are deterministic for a given seed and
+applied exactly in integers. Only the column's digit sum enters the
+recursion, so each step draws that sum directly, with its exact probability,
+from one uniform integer. Results are deterministic for a given seed and
 the generator algorithm is recorded so runs remain auditable.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
-from .carries import ChainSpec, state_space
+from .carries import ChainSpec, _digit_sum_counts, state_space
 
-GENERATOR_ALGORITHM = "mt19937"
+# One Mersenne Twister randrange(|D|^n) per step picks the digit sum through
+# its cumulative counts (see digit_sum_draw).
+GENERATOR_ALGORITHM = "mt19937-digit-sum-bisect"
 
 
 class SimConfig(namedtuple("SimConfig", "spec steps seed burn_in")):
@@ -44,36 +50,54 @@ def tv_distance(a: list, b: list) -> float:
     return float(sum(abs(Fraction(x) - Fraction(y)) for x, y in zip(a, b))) / 2
 
 
+def digit_sum_draw(digits: list[int], n: int):
+    """(size, draw) with size = |D|^n: for u uniform in range(size), draw(u)
+    is the digit sum S = x_1 + ... + x_n with probability exactly
+    count(S) / |D|^n.
+
+    The sums are sorted and cum holds their cumulative counts, so the u with
+    cum[i-1] <= u < cum[i] are count(sums[i]) integers; bisect_right finds i.
+    """
+    counts = sorted(_digit_sum_counts(digits, n).items())
+    sums = [s for s, _ in counts]
+    cum = list(accumulate(c for _, c in counts))
+
+    def draw(u: int) -> int:
+        return sums[bisect_right(cum, u)]
+
+    return cum[-1], draw
+
+
 def run_chain(cfg: SimConfig, exact: list[Fraction] | None = None) -> SimResult:
     """Simulate the carry chain from C_0 = 0 and tally post-burn-in visits.
 
-    ``random.Random(seed)`` supplies the digits; ``randrange`` is unbiased
-    over the digit-set size. If ``exact`` (ascending-state stationary
-    probabilities) is given, the TV distance of the empirical occupancy to
-    it is reported; otherwise tv_distance is NaN.
+    ``random.Random(seed)`` supplies one ``randrange(|D|^n)`` per step,
+    which picks the step's digit sum exactly (digit_sum_draw). If ``exact``
+    (ascending-state stationary probabilities) is given, the TV distance of
+    the empirical occupancy to it is reported; otherwise tv_distance is NaN.
     """
     spec = cfg.spec
     sys_ = spec.system
-    digits = sys_.digits
-    nd = len(digits)
+    size, draw = digit_sum_draw(sys_.digits, spec.n)
     base = sys_.base
     space = state_space(spec)
     # The chain from 0 never leaves the proven carry range; doing so is a bug.
     lo, hi = space.s, space.t
 
-    rng = random.Random(cfg.seed)
+    randrange = random.Random(cfg.seed).randrange
+    # sys_.digit_for_residue, inlined: the method call was a fifth of a step.
+    d, b = sys_.d, sys_.base_magnitude
+    burn_in = cfg.burn_in
     c = 0
     counts: dict[int, int] = {}
     for step in range(cfg.steps):
-        total = c
-        for _ in range(spec.n):
-            total += digits[rng.randrange(nd)]
-        a = sys_.digit_for_residue(total)
+        total = c + draw(randrange(size))
+        a = d + (total - d) % b
         c = (total - a) // base
         if not lo <= c <= hi:
             raise RuntimeError(
                 f"carry {c} left the state space [{lo}, {hi}] at step {step}")
-        if step >= cfg.burn_in:
+        if step >= burn_in:
             counts[c] = counts.get(c, 0) + 1
 
     samples = cfg.steps - cfg.burn_in

@@ -13,8 +13,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .carries import ChainSpec, p_param, state_space, transition_matrix
-from .eulerian import alternating_sums, stationary
+from .carries import (
+    ChainSpec,
+    chain_stationary,
+    p_param,
+    state_space,
+    transition_matrix,
+)
+from .eulerian import alternating_sums
 from .exactmath import ExactMatrix, is_nonsingular, ratio_text
 
 
@@ -59,16 +65,6 @@ def eigen_matrix(n: int, p, m: int, *, reverse: bool = False) -> ExactMatrix:
 def chain_spectrum(base: int, m: int) -> list[Fraction]:
     """Predicted eigenvalues (1, base^-1, ..., base^-(m-1)), signed base."""
     return [Fraction(1, base ** i) for i in range(m)]
-
-
-def chain_stationary(spec: ChainSpec) -> list[Fraction]:
-    """Stationary vector in ascending state order for the given chain.
-
-    For positive base this is the Eulerian row over p^n n!; for negative
-    base the same vector reversed, mirroring the state order.
-    """
-    pi = stationary(spec.n, p_param(spec))
-    return pi[::-1] if spec.system.negative else pi
 
 
 def _compare(got: ExactMatrix, want: ExactMatrix) -> CheckResult:

@@ -44,13 +44,30 @@ def interval_prob(n: int, p, k: int) -> Fraction:
     return irwin_hall_cdf(n, x) - irwin_hall_cdf(n, x - 1)
 
 
+def _cdf_num(n: int, a: int, k: int) -> int:
+    # Irwin-Hall CDF at x = a/k, times k^n n!, in integers.
+    if a <= 0:
+        return 0
+    if a >= n * k:
+        return k ** n * math.factorial(n)
+    return sum((-1) ** j * math.comb(n, j) * (a - j * k) ** n
+               for j in range(a // k + 1))
+
+
 def interval_probs(n: int, p) -> list[Fraction]:
-    """interval_prob(n, p, k) for k = 0, ..., n, from n+2 CDF evaluations."""
-    x = 1 / _check_p(p) - 1
+    """interval_prob(n, p, k) for k = 0, ..., n, from n+2 CDF evaluations.
+
+    With p = K/L the CDF points 1/p + k - 1 are a/K for a = L + (k-1)K;
+    each is evaluated once in integers, and each probability is one
+    division by K^n n!.
+    """
+    p = _check_p(p)
     if n < 1:
         raise ValueError(f"need at least one summand, got n={n}")
-    cdf = [_cdf(n, x + k) for k in range(n + 2)]
-    return [hi - lo for lo, hi in zip(cdf, cdf[1:])]
+    K, L = p.numerator, p.denominator
+    num = [_cdf_num(n, L + (k - 1) * K, K) for k in range(n + 2)]
+    total = K ** n * math.factorial(n)
+    return [Fraction(hi - lo, total) for lo, hi in zip(num, num[1:])]
 
 
 def interval_prob_float(n: int, p: float, k: int) -> float:

@@ -2,7 +2,8 @@
 
 Each check returns the index pairs where its identity fails, so a failing
 test names them; every check is expected to return an empty list. The full
-array and its row sums are built here too, from v_closed.
+array and its row sums are built here too, from v_closed, and the triangle
+by its recurrence in Fractions.
 """
 
 from fractions import Fraction
@@ -19,6 +20,21 @@ def row_sums(n: int, p) -> list[Fraction]:
     """Sum over j of v[i][j] for each i: p^n n! at i = 0 and 0 for i > 0."""
     return [sum((v_closed(n, p, i, j) for j in range(n + 2)), Fraction(0))
             for i in range(n + 1)]
+
+
+def fraction_triangle(n_max: int, p) -> list[list[Fraction]]:
+    """Rows 0..n_max of E_p by the two-term recurrence, one Fraction per
+    operation: the reference for the integer triangle_recurrence."""
+    p = Fraction(p)
+    rows = [[Fraction(1)]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [Fraction(0)]
+        rows.append([
+            (p * k + 1) * prev[k]
+            + ((p * (n + 1 - k) - 1) * prev[k - 1] if k else Fraction(0))
+            for k in range(n + 1)
+        ])
+    return rows
 
 
 def array_recurrence_check(n: int, p) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 """CLI contract tests: golden outputs, exit codes, and determinism."""
 
 import gc
+import importlib
 import io
 import json
 import os
@@ -272,6 +273,31 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("argv,option,limit,kernels", [
+    (["triangle", "--p", "5/3", "--n-max"], "--n-max", cli.MAX_TRIANGLE_N_MAX,
+     [("eulerian", "triangle_recurrence")]),
+    (["uniform-sum", "--p", "3/2", "--n"], "--n", cli.MAX_UNIFORM_SUM_N,
+     [("uniformsum", "interval_probs"), ("eulerian", "stationary")]),
+    (["simulate", "--base", "3", "--d", "-1", "--n", "2", "--seed", "1",
+      "--steps"], "--steps", cli.MAX_SIMULATE_STEPS,
+     [("carries", "chain_stationary"), ("simulate", "run_chain")]),
+], ids=["triangle", "uniform-sum", "simulate"])
+def test_cost_guards_refuse_before_any_work(argv, option, limit, kernels,
+                                            capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise RuntimeError("kernel reached")
+
+    for module, name in kernels:
+        monkeypatch.setattr(importlib.import_module(f"carrychain.{module}"),
+                            name, reached)
+    assert cli.main(argv + [str(limit + 1)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {option} must be <= {limit} (cost limit), got {limit + 1}\n")
+    # At the limit the guard lets the request through to the (patched) kernel.
+    assert cli.main(argv + [str(limit)]) == 3
+    assert capsys.readouterr() == ("", "internal error: kernel reached\n")
 
 
 def test_matrix_digits_carry_window_grows_with_n(capsys):

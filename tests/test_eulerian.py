@@ -12,6 +12,7 @@ from eulerian_identities import (
     array_recurrence_check,
     conjugate_parameter,
     eulerian_array,
+    fraction_triangle,
     row_sums,
     symmetry_check,
 )
@@ -75,6 +76,16 @@ def test_closed_form_matches_recurrence():
         rows = triangle_recurrence(8, p)
         for n in range(9):
             assert rows[n] == [v_closed(n, p, 0, j) for j in range(n + 1)]
+
+
+def test_integer_triangle_equals_fraction_recurrence_and_closed_form():
+    grid = [Fraction(k, l) for k in range(1, 9) for l in range(1, k + 1)
+            if Fraction(k, l).denominator == l]
+    for p in grid:
+        rows = triangle_recurrence(25, p)
+        assert rows == fraction_triangle(25, p), p
+        assert rows[10] == [v_closed(10, p, 0, j) for j in range(11)], p
+        assert all(type(x) is Fraction for row in rows for x in row)
 
 
 def test_array_recurrence_holds():

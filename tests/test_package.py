@@ -48,16 +48,37 @@ def _imported(*args: str) -> set[str]:
 def test_cli_imports_only_what_a_command_needs():
     # Compared with a bare interpreter, since site may preload some modules.
     bare = _imported("-c", "pass")
+
+    def package(modules):
+        return {m for m in modules if m.startswith("carrychain.")}
+
     cli = _imported("-c", "import carrychain.cli") - bare
-    assert {"carrychain.cli", "carrychain.carries"} <= cli
-    assert not cli & {"dataclasses", "inspect", "json", "random", "typing",
-                      "carrychain.spectral", "carrychain.simulate",
-                      "carrychain.uniformsum"}
+    assert package(cli) == {"carrychain.cli"}
+    assert not cli & {"dataclasses", "inspect", "json", "random", "typing"}
+    # Under -m the cli module runs as __main__, so it is not in these sets.
+    triangle = _imported("-m", "carrychain.cli", "triangle", "--p", "5/3",
+                         "--n-max", "3") - bare
+    assert package(triangle) == {"carrychain.eulerian"}
+    uniform = _imported("-m", "carrychain.cli", "uniform-sum", "--p", "5/3",
+                        "--n", "3") - bare
+    assert package(uniform) == {"carrychain.eulerian", "carrychain.uniformsum"}
+    simulate = _imported("-m", "carrychain.cli", "simulate", "--base", "3",
+                         "--d", "-1", "--n", "2", "--steps", "2000",
+                         "--seed", "1") - bare
+    assert "carrychain.simulate" in simulate
+    assert not simulate & {"carrychain.spectral", "carrychain.exactmath"}
     verify = _imported("-m", "carrychain.cli", "verify", "--base", "3",
                        "--d", "-1", "--n", "2") - bare
     assert "carrychain.spectral" in verify
     assert not verify & {"dataclasses", "inspect", "json", "typing",
                          "carrychain.simulate"}
+
+
+def test_chain_stationary_keeps_its_old_addresses():
+    from carrychain import carries, spectral
+
+    assert (carrychain.chain_stationary is spectral.chain_stationary
+            is carries.chain_stationary)
 
 
 def _records():
@@ -89,11 +110,12 @@ def _records():
          "P=ExactMatrix([[Fraction(1, 1), Fraction(0, 1)], [Fraction(0, 1), "
          "Fraction(1, 1)]]), V=ExactMatrix([[Fraction(1, 1)]]), "
          "spectrum=[Fraction(1, 1)], pi=[Fraction(1, 2)], verdicts={})"),
-        (result, SimResult(config, {0: 3}, {0: 0.5}, 0.25, "mt19937"),
+        (result, SimResult(config, {0: 3}, {0: 0.5}, 0.25,
+                           "mt19937-digit-sum-bisect"),
          "SimResult(config=SimConfig(spec=ChainSpec(system=NumerationSystem("
          "base_magnitude=5, d=-1, negative=False), n=3), steps=2000, seed=7, "
          "burn_in=1000), counts={0: 3}, empirical={0: 0.5}, tv_distance=0.25, "
-         "generator='mt19937')"),
+         "generator='mt19937-digit-sum-bisect')"),
     ]
 
 
@@ -118,7 +140,8 @@ def test_record_types_keep_value_semantics():
     assert spec != ChainSpec(system, 4) and space.states == [-1, 0, 1, 2]
     assert check.detail == "" and config.burn_in == 1000
     assert report.verdicts == {} and report.verified
-    assert result.generator == "mt19937" and result.samples == 1000
+    assert result.generator == "mt19937-digit-sum-bisect"
+    assert result.samples == 1000
 
 
 @pytest.mark.parametrize("build,message", [

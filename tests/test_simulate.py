@@ -1,12 +1,19 @@
 """Tests for the seeded Monte Carlo simulator."""
 
 import math
+from collections import Counter
 
 import pytest
 
-from carrychain.carries import ChainSpec, state_space
+from carrychain.carries import ChainSpec, _digit_sum_counts, state_space
 from carrychain.numeration import NumerationSystem
-from carrychain.simulate import SimConfig, run_chain, tv_distance
+from carrychain.simulate import (
+    GENERATOR_ALGORITHM,
+    SimConfig,
+    digit_sum_draw,
+    run_chain,
+    tv_distance,
+)
 from carrychain.spectral import chain_stationary
 
 
@@ -57,7 +64,19 @@ def test_determinism_same_seed():
     assert a.counts == b.counts
     assert a.empirical == b.empirical
     assert a.tv_distance == b.tv_distance
-    assert a.generator == "mt19937"
+    assert a.generator == GENERATOR_ALGORITHM == "mt19937-digit-sum-bisect"
+
+
+@pytest.mark.parametrize("digits,n", [
+    ([0], 3), ([0, 1], 1), ([0, 1], 5), ([-1, 0, 1], 4), ([-2, -1, 0, 1, 2], 5),
+    ([-3, -2, -1, 0, 1, 2, 3, 4, 5, 6], 4), ([-1, 0, 4], 6), ([0, 7, 11], 8),
+])
+def test_digit_sum_draw_hits_each_sum_exactly_its_count(digits, n):
+    # Every u in range(|D|^n) once: each sum must come up exactly as often as
+    # the digit n-tuples that add up to it, so a uniform u gives the exact law.
+    size, draw = digit_sum_draw(digits, n)
+    assert size == len(digits) ** n <= 10 ** 4
+    assert Counter(map(draw, range(size))) == _digit_sum_counts(digits, n)
 
 
 def test_different_seeds_differ():

@@ -78,15 +78,35 @@ def test_interval_probs_checks_before_any_work():
 
 def test_interval_probs_evaluates_each_cdf_point_once(monkeypatch):
     calls = []
-    real_cdf = uniformsum._cdf
-    monkeypatch.setattr(uniformsum, "_cdf",
-                        lambda n, x: calls.append(x) or real_cdf(n, x))
+    real_cdf_num = uniformsum._cdf_num
+    monkeypatch.setattr(uniformsum, "_cdf_num",
+                        lambda n, a, k: calls.append(a) or real_cdf_num(n, a, k))
     for p in (Fraction(1), Fraction(2), Fraction(5, 3), Fraction(7, 2)):
         for n in range(1, 13):
             per_k = [interval_prob(n, p, k) for k in range(n + 1)]
             calls.clear()
             assert interval_probs(n, p) == per_k
-            assert len(calls) == n + 2
+            assert len(calls) == len(set(calls)) == n + 2
+
+
+def test_integer_cdf_matches_fraction_cdf():
+    for k in range(1, 9):
+        for n in range(1, 9):
+            total = k ** n * factorial(n)
+            for a in range(-k, (n + 1) * k + 1):
+                assert Fraction(uniformsum._cdf_num(n, a, k), total) == \
+                    irwin_hall_cdf(n, Fraction(a, k)), (n, a, k)
+
+
+def test_interval_probs_on_a_wider_p_grid():
+    for k in range(1, 9):
+        for l in range(1, k + 1):
+            p = Fraction(k, l)
+            if p.denominator != l:
+                continue
+            for n in (1, 2, 5, 15):
+                assert interval_probs(n, p) == [
+                    interval_prob(n, p, j) for j in range(n + 1)], (p, n)
 
 
 def test_float_path_tracks_exact_path():
