@@ -29,10 +29,19 @@ EXIT_INTERNAL = 3
 # (Python 3.11, shared 2-vCPU VM): triangle --p 5/3 --n-max 300 1.3 s with
 # 28 MB of JSON, and n-max 400 4.2 s; uniform-sum --n 500 2.3 s at p 3/2 and
 # 3.4 s at p 9/7, and n 600 5.9 s; simulate --steps 2000000 2.6 s at
-# base 2, n 5 and 3.2 s at base 16, n 10.
+# base 2, n 5 and 3.2 s at base 16, n 10. At base 16, d -3: verify --n 100
+# 1.1-1.3 s (V@P grows as m^3) and n 150 3.8 s; matrix --n 150 1.1 s with
+# 8 MB of JSON, and n 200 3.2 s; matrix --char-poly --n 40 0.74 s (Berkowitz
+# grows as m^4) and n 60 7.4 s. simulate's digit-sum table costs about
+# (n * base)^2: 0.9-1.2 s at n * base = 3200 (base 16, n 200; base 32, n 100).
 MAX_TRIANGLE_N_MAX = 300
 MAX_UNIFORM_SUM_N = 500
 MAX_SIMULATE_STEPS = 2_000_000
+MAX_VERIFY_N = 100
+MAX_MATRIX_N = 150
+MAX_CHAR_POLY_N = 40
+MAX_SIMULATE_N = 200
+MAX_SIMULATE_N_TIMES_BASE = 3200
 
 
 def parse_rational(text: str) -> Fraction:
@@ -217,16 +226,23 @@ def cmd_triangle(args) -> tuple[dict, int]:
     from . import eulerian
 
     rows = eulerian.triangle_recurrence(args.n_max, args.p)
+    # Row n lies over L^n (p = K/L): sum its numerators over that one scale.
+    scales = [args.p.denominator ** n for n in range(len(rows))]
     payload = {
         "p": args.p,
         "n_max": args.n_max,
         "rows": rows,
-        "row_sums": [sum(row, Fraction(0)) for row in rows],
+        "row_sums": [Fraction(sum(x.numerator * (s // x.denominator)
+                                  for x in row), s)
+                     for row, s in zip(rows, scales)],
     }
     return payload, EXIT_OK
 
 
 def cmd_matrix(args) -> tuple[dict, int]:
+    if args.char_poly:
+        _check_cost("--n with --char-poly", args.n, MAX_CHAR_POLY_N)
+    _check_cost("--n", args.n, MAX_MATRIX_N)
     from . import carries
 
     signed_base = -args.base if args.negative else args.base
@@ -263,6 +279,7 @@ def cmd_matrix(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    _check_cost("--n", args.n, MAX_VERIFY_N)
     from . import spectral
 
     spec = _spec(args)
@@ -304,6 +321,8 @@ def cmd_find_system(args) -> tuple[dict, int]:
 
 def cmd_simulate(args) -> tuple[dict, int]:
     _check_cost("--steps", args.steps, MAX_SIMULATE_STEPS)
+    _check_cost("--n", args.n, MAX_SIMULATE_N)
+    _check_cost("--n * --base", args.n * args.base, MAX_SIMULATE_N_TIMES_BASE)
     from .carries import chain_stationary
     from .simulate import SimConfig, run_chain
 

@@ -13,9 +13,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-# A Mersenne prime: det mod it certifies nonsingularity (see is_nonsingular).
-_PRIME = (1 << 61) - 1
-
 
 class ExactMatrix:
     """Dense row-major matrix of exact rationals, stored as reduced int rows."""
@@ -94,9 +91,6 @@ class ExactMatrix:
             [[x * f.numerator for x in row] for row, f in zip(self._num, fs)],
             [d * f.denominator for d, f in zip(self._den, fs)])
 
-    def row_sums(self) -> list[Fraction]:
-        return [Fraction(sum(row), d) for row, d in zip(self._num, self._den)]
-
 
 def ratio_text(num: int, den: int) -> str:
     """The text of num/den as str(Fraction) writes it: "num" when den is 1."""
@@ -128,29 +122,6 @@ def determinant(a: ExactMatrix) -> Fraction:
                                     for x, y in zip(m[i][k + 1:], tail)]
         prev = pivot
     return Fraction(sign * m[n - 1][n - 1], prod(a._den))
-
-
-def is_nonsingular(a: ExactMatrix) -> bool:
-    """Exact test of det(a) != 0, certified modulo a prime when it can be.
-
-    det(a) is det(W) over the product of the row denominators, W the integer
-    rows. A nonzero det(W) mod 2^61 - 1 proves det(a) != 0; a zero residue
-    proves nothing, so the verdict then falls back to the exact determinant.
-    """
-    if not a.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    n, q = a.rows, _PRIME
-    m = [[x % q for x in row] for row in a._num]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return determinant(a) != 0
-        m[k], m[piv] = m[piv], m[k]
-        inv = pow(m[k][k], -1, q)
-        for i in range(k + 1, n):
-            f = m[i][k] * inv % q
-            m[i] = [(x - f * y) % q for x, y in zip(m[i], m[k])]
-    return True
 
 
 class ExactPolynomial:

@@ -122,7 +122,8 @@ def test_criterion_02_matrix_reproduction():
         P = transition_matrix(s)
         if P != frac_matrix(nums, denom):
             bad.append(("P", b, d, n))
-        if P.row_sums() != [1] * P.rows:
+        ones = ExactMatrix([[1]] * P.rows)
+        if P @ ones != ones:
             bad.append(("row sums", b, d, n))
         m = state_space(s).size
         if eigen_matrix(n, p_param(s), m) != ExactMatrix(vrows):

@@ -20,6 +20,7 @@ import carrychain.spectral
 from carrychain.carries import ChainSpec, transition_matrix
 from carrychain.exactmath import ExactMatrix
 from carrychain.numeration import NumerationSystem
+from eulerian_identities import row_sums
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -283,7 +284,24 @@ def test_usage_errors_exit_two(capsys):
     (["simulate", "--base", "3", "--d", "-1", "--n", "2", "--seed", "1",
       "--steps"], "--steps", cli.MAX_SIMULATE_STEPS,
      [("carries", "chain_stationary"), ("simulate", "run_chain")]),
-], ids=["triangle", "uniform-sum", "simulate"])
+    (["simulate", "--base", "3", "--d", "-1", "--seed", "1", "--steps", "2000",
+      "--n"], "--n", cli.MAX_SIMULATE_N,
+     [("carries", "chain_stationary"), ("simulate", "run_chain")]),
+    (["simulate", "--d", "0", "--n", "1", "--seed", "1", "--steps", "2000",
+      "--base"], "--n * --base", cli.MAX_SIMULATE_N_TIMES_BASE,
+     [("carries", "chain_stationary"), ("simulate", "run_chain")]),
+    (["verify", "--base", "16", "--d", "-3", "--n"], "--n", cli.MAX_VERIFY_N,
+     [("spectral", "verify_diagonalization")]),
+    (["matrix", "--base", "16", "--d", "-3", "--n"], "--n", cli.MAX_MATRIX_N,
+     [("carries", "transition_matrix")]),
+    (["matrix", "--base", "2", "--digits=0,1", "--n"], "--n",
+     cli.MAX_MATRIX_N, [("carries", "transition_matrix_bruteforce")]),
+    (["matrix", "--base", "16", "--d", "-3", "--char-poly", "--n"],
+     "--n with --char-poly", cli.MAX_CHAR_POLY_N,
+     [("carries", "transition_matrix"), ("exactmath", "char_poly")]),
+], ids=["triangle", "uniform-sum", "simulate", "simulate-n",
+        "simulate-n-times-base", "verify", "matrix", "matrix-digits",
+        "matrix-char-poly"])
 def test_cost_guards_refuse_before_any_work(argv, option, limit, kernels,
                                             capsys, monkeypatch):
     def reached(*args, **kwargs):
@@ -309,6 +327,20 @@ def test_matrix_digits_carry_window_grows_with_n(capsys):
     assert payload["states"] == list(range(40))
     closed = transition_matrix(ChainSpec(NumerationSystem(2, 0), 40))
     assert payload["matrix"] == _jsonify(closed)
+
+
+@pytest.mark.parametrize("p", ["2", "5/3", "17/7", "9/4"])
+def test_triangle_row_sums_are_exact(p, capsys):
+    code, out = run_cli(["triangle", "--p", p, "--n-max", "9"], capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    rows = [[Fraction(int(x["num"]), int(x["den"])) for x in row]
+            for row in payload["rows"]]
+    assert payload["row_sums"] == _jsonify([sum(row, Fraction(0))
+                                            for row in rows])
+    # Row n sums to p^n n!, the top row sum of the Eulerian array.
+    assert payload["row_sums"] == _jsonify([row_sums(n, Fraction(p))[0]
+                                            for n in range(10)])
 
 
 def test_find_system_p_one(capsys):

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrychain import exactmath
 from carrychain.carries import ChainSpec, transition_matrix, transition_matrix_bruteforce
 from carrychain.exactmath import (
     ExactMatrix,
     ExactPolynomial,
     char_poly,
     determinant,
-    is_nonsingular,
     ratio_text,
 )
 from carrychain.numeration import NumerationSystem
@@ -69,7 +67,7 @@ def test_malformed_and_non_square_inputs_raise():
         with pytest.raises(ValueError):
             ExactMatrix(entries)
     wide = ExactMatrix([[1, 2]])
-    for f in (determinant, is_nonsingular, char_poly):
+    for f in (determinant, char_poly):
         with pytest.raises(ValueError, match="non-square"):
             f(wide)
 
@@ -77,7 +75,8 @@ def test_malformed_and_non_square_inputs_raise():
 def test_row_sums_and_trace():
     m = ExactMatrix([[Fraction(1, 3), Fraction(2, 3)],
                      [Fraction(1, 2), Fraction(1, 2)]])
-    assert m.row_sums() == [1, 1]
+    ones = ExactMatrix([[1], [1]])
+    assert m @ ones == ones
     rows = m.to_lists()
     assert rows[0][0] + rows[1][1] == Fraction(5, 6)
 
@@ -189,30 +188,6 @@ def test_to_lists_returns_normalized_fractions():
     assert list(m.ratios()) == [[(3, 4), (-1, 2), (0, 1)], [(0, 1)] * 3]
     for x in (Fraction(0), Fraction(-5), Fraction(-3, 4), Fraction(10 ** 30, 7)):
         assert ratio_text(x.numerator, x.denominator) == str(x)
-
-
-Q = (1 << 61) - 1
-
-
-def test_nonsingular_certificate_falls_back_on_zero_residue(monkeypatch):
-    exact = []
-    monkeypatch.setattr(exactmath, "determinant",
-                        lambda a: exact.append(a) or determinant(a))
-    # det = Q is nonzero but vanishes mod Q: only the exact fallback sees it.
-    assert is_nonsingular(ExactMatrix([[Q, 0], [0, 1]]))
-    assert len(exact) == 1
-    assert is_nonsingular(ExactMatrix([[Q + 1, 0], [0, 1]]))
-    assert len(exact) == 1
-    assert is_nonsingular(ExactMatrix([[Fraction(Q, 2), 1], [0, Fraction(1, 3)]]))
-    assert not is_nonsingular(ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 5]]))
-    assert not is_nonsingular(ExactMatrix([[0, 0], [0, 0]]))
-    assert is_nonsingular(ExactMatrix([[0, 1], [1, 0]]))
-
-
-@settings(max_examples=80, deadline=None)
-@given(sparse_matrices)
-def test_nonsingular_certificate_agrees_with_determinant(a):
-    assert is_nonsingular(a) == (determinant(a) != 0)
 
 
 def interpolated_char_poly(a):

@@ -8,7 +8,7 @@ import pytest
 import carrychain.spectral as spectral
 from carrychain.carries import ChainSpec, transition_matrix, transition_matrix_bruteforce
 from carrychain.eulerian import v_closed
-from carrychain.exactmath import ExactMatrix, determinant, is_nonsingular
+from carrychain.exactmath import ExactMatrix, determinant
 from carrychain.numeration import NumerationSystem
 from carrychain.spectral import (
     chain_spectrum,
@@ -142,7 +142,7 @@ def test_spectrum_probe_sparse_digit_chain():
 
 def corrupt_eigen_matrix(monkeypatch, edit):
     """Make verify_diagonalization see eigen_matrix's V with edit(rows)
-    applied; returns the list of matrices is_nonsingular is called on."""
+    applied; returns the list of matrices determinant is called on."""
     calls = []
 
     def corrupted(*args, **kwargs):
@@ -152,10 +152,10 @@ def corrupt_eigen_matrix(monkeypatch, edit):
 
     def counted(a):
         calls.append(a)
-        return is_nonsingular(a)
+        return determinant(a)
 
     monkeypatch.setattr(spectral, "eigen_matrix", corrupted)
-    monkeypatch.setattr(spectral, "is_nonsingular", counted)
+    monkeypatch.setattr(spectral, "determinant", counted)
     return calls
 
 
@@ -191,9 +191,10 @@ def test_eigenbasis_certificate_agrees_with_is_nonsingular():
                 for n in range(1, 9):
                     report = verify_diagonalization(spec(b, d, n, negative))
                     verdicts = report.verdicts
+                    nonsingular = determinant(report.V) != 0
                     assert verdicts["eigenvector_equation"].passed
                     assert (verdicts["eigenbasis_nonsingular"].passed
-                            == is_nonsingular(report.V)), (b, d, n, negative)
+                            == nonsingular), (b, d, n, negative)
 
 
 def test_grid_diagonalization_modest():
@@ -244,6 +245,20 @@ def test_row_and_stationary_failures_name_the_first_mismatch(monkeypatch):
     assert verdicts["stationary_fixed"] == (
         False, "first mismatch at (0,0): 1/6 != 1/8; "
                "2 of 3 entries in 1 of 1 rows differ")
+
+
+def test_stationary_normalized_failure_names_the_sum(monkeypatch):
+    # pi = [1/8, 3/4, 1/8] for the base-3 d=-1 n=2 chain; 2/8 first sums to 9/8.
+    def corrupted(chain):
+        return [Fraction(2, 8), *chain_stationary(chain)[1:]]
+
+    monkeypatch.setattr(spectral, "chain_stationary", corrupted)
+    verdicts = verify_diagonalization(spec(3, -1, 2)).verdicts
+    assert verdicts["stationary_normalized"] == (
+        False, "first mismatch at (0,0): 9/8 != 1; "
+               "1 of 1 entries in 1 of 1 rows differ")
+    assert not verdicts["stationary_fixed"].passed
+    assert verdicts["row_stochastic"] == (True, "")
 
 
 def test_failure_details_stay_short_on_large_chains(monkeypatch):
