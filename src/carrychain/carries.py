@@ -118,6 +118,17 @@ def _digit_sum_counts(digit_set: list[int], n: int) -> dict[int, int]:
     return counts
 
 
+def carry_bound(base: int, digit_set: list[int], n: int) -> int:
+    """R with every carry of the n-summand chain from 0 in [-R, R].
+
+    With S in [n*lo, n*hi] and a in [lo, hi], c -> (c + S - a) / base maps
+    [-R, R] into itself, for either sign of the base. Needs a nonempty
+    digit set and |base| >= 2.
+    """
+    lo, hi = min(digit_set), max(digit_set)
+    return -(-max(n * hi - lo, hi - n * lo) // (abs(base) - 1))
+
+
 def transition_matrix_bruteforce(
     base: int,
     digit_set: list[int],
@@ -155,9 +166,7 @@ def transition_matrix_bruteforce(
                 f"no digit with residue {r} mod {b}; digit set is incomplete")
         return (c + total - residue[r]) // base
 
-    # S in [n*lo, n*hi] and a in [lo, hi] map [-R, R] into itself, either sign.
-    lo, hi = min(digit_set), max(digit_set)
-    R = -(-max(n * hi - lo, hi - n * lo) // (b - 1))
+    R = carry_bound(base, digit_set, n)
     states = {0}
     frontier = {0}
     while frontier:

@@ -25,23 +25,77 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# Cost guards, checked before any work. Cold runs of the integer kernels
-# (Python 3.11, shared 2-vCPU VM): triangle --p 5/3 --n-max 300 1.3 s with
-# 28 MB of JSON, and n-max 400 4.2 s; uniform-sum --n 500 2.3 s at p 3/2 and
-# 3.4 s at p 9/7, and n 600 5.9 s; simulate --steps 2000000 2.6 s at
-# base 2, n 5 and 3.2 s at base 16, n 10. At base 16, d -3: verify --n 100
-# 1.1-1.3 s (V@P grows as m^3) and n 150 3.8 s; matrix --n 150 1.1 s with
-# 8 MB of JSON, and n 200 3.2 s; matrix --char-poly --n 40 0.74 s (Berkowitz
-# grows as m^4) and n 60 7.4 s. simulate's digit-sum table costs about
-# (n * base)^2: 0.9-1.2 s at n * base = 3200 (base 16, n 200; base 32, n 100).
-MAX_TRIANGLE_N_MAX = 300
-MAX_UNIFORM_SUM_N = 500
-MAX_SIMULATE_STEPS = 2_000_000
-MAX_VERIFY_N = 100
-MAX_MATRIX_N = 150
-MAX_CHAR_POLY_N = 40
-MAX_SIMULATE_N = 200
-MAX_SIMULATE_N_TIMES_BASE = 3200
+
+def _p_bits(p: Fraction) -> int:
+    """The bit length of p's larger part, numerator or denominator."""
+    return max(p.numerator.bit_length(), p.denominator.bit_length())
+
+
+def _carry_bound(args) -> int:
+    """carries.carry_bound of a --digits request; 0 without --digits and for
+    the bases cmd_matrix rejects."""
+    if not args.digits or args.base < 2:
+        return 0
+    from .carries import carry_bound
+
+    return carry_bound(args.base, args.digits, args.n)
+
+
+# Cost limits (command, option, value of the args, limit), checked by main in
+# this order before any work, and before any import but the carry bound's.
+# Cold runs (Python 3.11, shared 2-vCPU VM): triangle --p 5/3 --n-max 300
+# 1.3 s with 28 MB of JSON, and n-max 400 4.2 s; uniform-sum --n 500 2.3 s
+# at p 3/2 and 3.4 s at p 9/7, and n 600 5.9 s; simulate --steps 2000000
+# 2.6 s at base 2, n 5 and 3.2 s at base 16, n 10. At base 16, d -3: verify
+# --n 100 1.1-1.3 s (V@P grows as m^3) and n 150 3.8 s; matrix --n 150 1.1 s
+# with 8 MB of JSON, and n 200 3.2 s; matrix --char-poly --n 40 0.74 s
+# (Berkowitz grows as m^4) and n 60 7.4 s. simulate's digit-sum table costs
+# about (n * base)^2: 0.9-1.2 s at n * base = 3200 (base 16, n 200; base 32,
+# n 100).
+# Entries grow with the bits of b^n and p^n, at most n times the bit length
+# of b or of p's larger part ("n * bits" below). At the limits: verify --n
+# 100 at base 31 0.9 s (base 63, n * bits 600: 1.3 s; base 100000: 3.7 s);
+# matrix --n 150 at base 31 0.8-1.3 s (base 256: 1.2 s, 17 MB; base 100000:
+# 3.4 s), with --char-poly --n 40 0.7-0.9 s (base 256: 2.2 s); triangle
+# --n-max 300 at p 5/3, 7/4, 7/5 1.0-1.1 s; uniform-sum --n 500 at p 9/7,
+# 15/14 2.4-2.6 s. So triangle prints integers below K^n n! < 2^(900 + 2042)
+# and uniform-sum below 2^(2000 + 3768): at most 886 and 1737 digits, inside
+# the default 4300 of sys.get_int_max_str_digits(). A matrix --d payload
+# lists every digit: --base 100000 0.6 s with 1.3 MB of JSON, 1000000 4.0 s.
+# On the --digits path the state count is at most 2R + 1 for the carry bound
+# R, as n + 1 is in the closed form, and as in simulate the digit-sum table
+# has at most n * span + 1 sums: base 41, digits -20..20, n 80 (R 41, n *
+# span 3200) 0.8-1.1 s; past the limits base -31, digits -15..15, n 148
+# (n * span 4440) 2.1-2.5 s, base 16384, digits 0,1,37,1000,5003,9999,12345,
+# n 34 (n * span 419730) 5.5 s, and base 3, digits -1,0,10, n 40 --char-poly
+# (R 201, 225 states) over 200 s.
+COST_LIMITS = (
+    ("triangle", "--n-max", lambda a: a.n_max, 300),
+    ("triangle", "--n-max * bit length of --p",
+     lambda a: a.n_max * _p_bits(a.p), 900),
+    ("uniform-sum", "--n", lambda a: a.n, 500),
+    ("uniform-sum", "--n * bit length of --p", lambda a: a.n * _p_bits(a.p),
+     2000),
+    ("simulate", "--steps", lambda a: a.steps, 2_000_000),
+    ("simulate", "--n", lambda a: a.n, 200),
+    ("simulate", "--n * --base", lambda a: a.n * a.base, 3200),
+    ("verify", "--n", lambda a: a.n, 100),
+    ("verify", "--n * bit length of --base",
+     lambda a: a.n * a.base.bit_length(), 500),
+    ("matrix", "--n with --char-poly", lambda a: a.n if a.char_poly else 0,
+     40),
+    ("matrix", "--n", lambda a: a.n, 150),
+    ("matrix", "--n * bit length of --base with --char-poly",
+     lambda a: a.n * a.base.bit_length() if a.char_poly else 0, 200),
+    ("matrix", "--n * bit length of --base",
+     lambda a: a.n * a.base.bit_length(), 750),
+    ("matrix", "--base", lambda a: a.base, 100_000),
+    ("matrix", "--digits carry bound with --char-poly",
+     lambda a: _carry_bound(a) if a.char_poly else 0, 20),
+    ("matrix", "--digits carry bound", _carry_bound, 75),
+    ("matrix", "--n * span of --digits",
+     lambda a: a.n * (max(a.digits) - min(a.digits)) if a.digits else 0, 3200),
+)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -195,11 +249,6 @@ def _emit_pretty(command: str, fields, stream) -> None:
             stream.write(f"{key}: " + " ".join(cells) + "\n")
 
 
-def _check_cost(option: str, value: int, limit: int) -> None:
-    if value > limit:
-        raise ValueError(f"{option} must be <= {limit} (cost limit), got {value}")
-
-
 def _document(args, payload: dict) -> dict:
     """The output document; inputs echo the parsed options in argparse order."""
     inputs = {key: str(value) if isinstance(value, Fraction) else value
@@ -222,7 +271,6 @@ def _spec(args):
 
 
 def cmd_triangle(args) -> tuple[dict, int]:
-    _check_cost("--n-max", args.n_max, MAX_TRIANGLE_N_MAX)
     from . import eulerian
 
     rows = eulerian.triangle_recurrence(args.n_max, args.p)
@@ -240,9 +288,6 @@ def cmd_triangle(args) -> tuple[dict, int]:
 
 
 def cmd_matrix(args) -> tuple[dict, int]:
-    if args.char_poly:
-        _check_cost("--n with --char-poly", args.n, MAX_CHAR_POLY_N)
-    _check_cost("--n", args.n, MAX_MATRIX_N)
     from . import carries
 
     signed_base = -args.base if args.negative else args.base
@@ -279,7 +324,6 @@ def cmd_matrix(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    _check_cost("--n", args.n, MAX_VERIFY_N)
     from . import spectral
 
     spec = _spec(args)
@@ -320,9 +364,6 @@ def cmd_find_system(args) -> tuple[dict, int]:
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
-    _check_cost("--steps", args.steps, MAX_SIMULATE_STEPS)
-    _check_cost("--n", args.n, MAX_SIMULATE_N)
-    _check_cost("--n * --base", args.n * args.base, MAX_SIMULATE_N_TIMES_BASE)
     from .carries import chain_stationary
     from .simulate import SimConfig, run_chain
 
@@ -348,7 +389,6 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 
 def cmd_uniform_sum(args) -> tuple[dict, int]:
-    _check_cost("--n", args.n, MAX_UNIFORM_SUM_N)
     from . import eulerian, uniformsum
 
     probs = uniformsum.interval_probs(args.n, args.p)
@@ -429,6 +469,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for command, option, value, limit in COST_LIMITS:
+            if command == args.command and value(args) > limit:
+                raise ValueError(f"{option} must be <= {limit} (cost limit), "
+                                 f"got {value(args)}")
         payload, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

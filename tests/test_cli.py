@@ -1,5 +1,6 @@
 """CLI contract tests: golden outputs, exit codes, and determinism."""
 
+import contextlib
 import gc
 import importlib
 import io
@@ -11,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carrychain.carries
@@ -260,6 +261,8 @@ def test_usage_errors_exit_two(capsys):
         (["matrix", "--base", "-3", "--digits=-1,0,4", "--n", "2"], bad_base),
         (["matrix", "--base", "-3", "--digits=-1,0,4", "--n", "2",
           "--negative"], bad_base),
+        (["matrix", "--base", "1", "--digits=0,1", "--n", "2"],
+         "base magnitude must be >= 2, got 1"),
         (["matrix", "--base", "3", "--d", "5", "--digits=0,1,2", "--n", "2"],
          "--d and --digits cannot be combined"),
         (["matrix", "--base", "3", "--digits=0,1", "--n", "2"],
@@ -276,46 +279,170 @@ def test_usage_errors_exit_two(capsys):
         assert exc.value.code == 2, argv
 
 
-@pytest.mark.parametrize("argv,option,limit,kernels", [
-    (["triangle", "--p", "5/3", "--n-max"], "--n-max", cli.MAX_TRIANGLE_N_MAX,
-     [("eulerian", "triangle_recurrence")]),
-    (["uniform-sum", "--p", "3/2", "--n"], "--n", cli.MAX_UNIFORM_SUM_N,
-     [("uniformsum", "interval_probs"), ("eulerian", "stationary")]),
-    (["simulate", "--base", "3", "--d", "-1", "--n", "2", "--seed", "1",
-      "--steps"], "--steps", cli.MAX_SIMULATE_STEPS,
-     [("carries", "chain_stationary"), ("simulate", "run_chain")]),
-    (["simulate", "--base", "3", "--d", "-1", "--seed", "1", "--steps", "2000",
-      "--n"], "--n", cli.MAX_SIMULATE_N,
-     [("carries", "chain_stationary"), ("simulate", "run_chain")]),
-    (["simulate", "--d", "0", "--n", "1", "--seed", "1", "--steps", "2000",
-      "--base"], "--n * --base", cli.MAX_SIMULATE_N_TIMES_BASE,
-     [("carries", "chain_stationary"), ("simulate", "run_chain")]),
-    (["verify", "--base", "16", "--d", "-3", "--n"], "--n", cli.MAX_VERIFY_N,
-     [("spectral", "verify_diagonalization")]),
-    (["matrix", "--base", "16", "--d", "-3", "--n"], "--n", cli.MAX_MATRIX_N,
-     [("carries", "transition_matrix")]),
-    (["matrix", "--base", "2", "--digits=0,1", "--n"], "--n",
-     cli.MAX_MATRIX_N, [("carries", "transition_matrix_bruteforce")]),
-    (["matrix", "--base", "16", "--d", "-3", "--char-poly", "--n"],
-     "--n with --char-poly", cli.MAX_CHAR_POLY_N,
-     [("carries", "transition_matrix"), ("exactmath", "char_poly")]),
-], ids=["triangle", "uniform-sum", "simulate", "simulate-n",
-        "simulate-n-times-base", "verify", "matrix", "matrix-digits",
-        "matrix-char-poly"])
-def test_cost_guards_refuse_before_any_work(argv, option, limit, kernels,
-                                            capsys, monkeypatch):
+SIM = "simulate --d -1 --seed 1 --steps"
+# One case per row of cli.COST_LIMITS: (id, option, argv at the limit, argv
+# one past it, the kernels the row keeps from running).
+GUARD_CASES = [
+    ("triangle", "--n-max", "triangle --p 5/3 --n-max 300",
+     "triangle --p 5/3 --n-max 301", ["eulerian.triangle_recurrence"]),
+    ("triangle-p-bits", "--n-max * bit length of --p",
+     "triangle --p 7/4 --n-max 300", f"triangle --p 1/{2 ** 900} --n-max 1",
+     ["eulerian.triangle_recurrence"]),
+    ("uniform-sum", "--n", "uniform-sum --p 3/2 --n 500",
+     "uniform-sum --p 3/2 --n 501",
+     ["uniformsum.interval_probs", "eulerian.stationary"]),
+    ("uniform-sum-p-bits", "--n * bit length of --p",
+     "uniform-sum --p 15/14 --n 500", f"uniform-sum --p {2 ** 2000} --n 1",
+     ["uniformsum.interval_probs", "eulerian.stationary"]),
+    ("simulate", "--steps", f"{SIM} 2000000 --base 3 --n 2",
+     f"{SIM} 2000001 --base 3 --n 2",
+     ["carries.chain_stationary", "simulate.run_chain"]),
+    ("simulate-n", "--n", f"{SIM} 2000 --base 3 --n 200",
+     f"{SIM} 2000 --base 3 --n 201",
+     ["carries.chain_stationary", "simulate.run_chain"]),
+    ("simulate-n-times-base", "--n * --base", f"{SIM} 2000 --base 3200 --n 1",
+     f"{SIM} 2000 --base 3201 --n 1",
+     ["carries.chain_stationary", "simulate.run_chain"]),
+    ("verify", "--n", "verify --base 16 --d -3 --n 100",
+     "verify --base 16 --d -3 --n 101", ["spectral.verify_diagonalization"]),
+    ("verify-base-bits", "--n * bit length of --base",
+     "verify --base 31 --d -3 --n 100", f"verify --base {2 ** 500} --d 0 --n 1",
+     ["spectral.verify_diagonalization"]),
+    ("matrix-char-poly", "--n with --char-poly",
+     "matrix --base 16 --d -3 --n 40 --char-poly",
+     "matrix --base 16 --d -3 --n 41 --char-poly",
+     ["carries.transition_matrix", "exactmath.char_poly"]),
+    ("matrix", "--n", "matrix --base 16 --d -3 --n 150",
+     "matrix --base 16 --d -3 --n 151", ["carries.transition_matrix"]),
+    ("matrix-char-poly-base-bits",
+     "--n * bit length of --base with --char-poly",
+     "matrix --base 31 --d -3 --n 40 --char-poly",
+     f"matrix --base {2 ** 200} --d 0 --n 1 --char-poly",
+     ["carries.transition_matrix", "exactmath.char_poly"]),
+    ("matrix-base-bits", "--n * bit length of --base",
+     "matrix --base 31 --d -3 --n 150", f"matrix --base {2 ** 750} --d 0 --n 1",
+     ["carries.transition_matrix"]),
+    ("matrix-base", "--base", "matrix --base 100000 --d 0 --n 1",
+     "matrix --base 100001 --d 0 --n 1", ["carries.transition_matrix"]),
+    ("matrix-char-poly-digits", "--digits carry bound with --char-poly",
+     "matrix --base 2 --digits=0,1 --n 20 --char-poly",
+     "matrix --base 2 --digits=0,1 --n 21 --char-poly",
+     ["carries.transition_matrix_bruteforce", "exactmath.char_poly"]),
+    ("matrix-digits", "--digits carry bound",
+     "matrix --base 3 --digits=-1,0,1 --n 149 --negative",
+     "matrix --base 3 --digits=-1,0,1 --n 150 --negative",
+     ["carries.transition_matrix_bruteforce"]),
+    ("matrix-digits-span", "--n * span of --digits",
+     "matrix --base 3201 --digits=-1,0,3199 --n 1",
+     "matrix --base 3202 --digits=-1,0,3200 --n 1",
+     ["carries.transition_matrix_bruteforce"]),
+]
+
+
+@pytest.mark.parametrize("option,at_limit,past_limit,kernels",
+                         [case[1:] for case in GUARD_CASES],
+                         ids=[case[0] for case in GUARD_CASES])
+def test_cost_guards_refuse_before_any_work(option, at_limit, past_limit,
+                                            kernels, capsys, monkeypatch):
+    assert ({(cmd, opt) for cmd, opt, _, _ in cli.COST_LIMITS}
+            == {(case[2].split()[0], case[1]) for case in GUARD_CASES})
+    command = at_limit.split()[0]
+    ((value, limit),) = [(value, limit)
+                         for cmd, opt, value, limit in cli.COST_LIMITS
+                         if (cmd, opt) == (command, option)]
+    parse = cli.build_parser().parse_args
+    assert value(parse(at_limit.split())) == limit
+    assert value(parse(past_limit.split())) == limit + 1
+
     def reached(*args, **kwargs):
         raise RuntimeError("kernel reached")
 
-    for module, name in kernels:
+    for kernel in kernels:
+        module, name = kernel.split(".")
         monkeypatch.setattr(importlib.import_module(f"carrychain.{module}"),
                             name, reached)
-    assert cli.main(argv + [str(limit + 1)]) == 2
+    assert cli.main(past_limit.split()) == 2
     assert capsys.readouterr() == (
         "", f"error: {option} must be <= {limit} (cost limit), got {limit + 1}\n")
-    # At the limit the guard lets the request through to the (patched) kernel.
-    assert cli.main(argv + [str(limit)]) == 3
+    # At the limit every row lets the request through to the (patched) kernel.
+    assert cli.main(at_limit.split()) == 3
     assert capsys.readouterr() == ("", "internal error: kernel reached\n")
+
+
+def _sized(small, far):
+    """Mostly small admitted values; one draw in five far past the limits."""
+    return st.integers(0, 4).flatmap(lambda k: far if k == 0 else small)
+
+
+FUZZ_FAR = st.one_of(st.integers(10 ** 7, 10 ** 60),
+                     st.integers(-10 ** 60, -10 ** 7))
+FUZZ_N = _sized(st.integers(-1, 8), FUZZ_FAR)
+FUZZ_BASE = _sized(st.integers(1, 9), FUZZ_FAR)
+FUZZ_D = _sized(st.integers(-8, 0), FUZZ_FAR)
+FUZZ_STEPS = _sized(st.integers(0, 3000), FUZZ_FAR)
+FUZZ_P = _sized(
+    st.builds("{}/{}".format, st.integers(-1, 30), st.integers(0, 9)),
+    st.builds("{}/{}".format, st.integers(10 ** 59, 10 ** 60),
+              st.integers(1, 10 ** 60)))
+FUZZ_DIGITS = _sized(
+    st.lists(st.integers(-4, 4), max_size=5),
+    st.lists(st.integers(-10 ** 4, 10 ** 4), max_size=5).map(
+        lambda xs: [0, *xs]))
+FUZZ_SYSTEM = {"--base": FUZZ_BASE, "--d": FUZZ_D, "--n": FUZZ_N}
+FUZZ_OPTIONS = {
+    "triangle": {"--p": FUZZ_P, "--n-max": FUZZ_N},
+    "matrix": {"--base": FUZZ_BASE, "--d": st.none() | FUZZ_D,
+               "--digits": st.none() | FUZZ_DIGITS, "--n": FUZZ_N},
+    "verify": FUZZ_SYSTEM,
+    "find-system": {"--p": FUZZ_P, "--n": FUZZ_N},
+    "simulate": {**FUZZ_SYSTEM, "--steps": FUZZ_STEPS,
+                 "--seed": st.integers(-10 ** 60, 10 ** 60),
+                 "--burn-in": st.none() | _sized(st.integers(-1, 200),
+                                                 FUZZ_FAR)},
+    "uniform-sum": {"--p": FUZZ_P, "--n": FUZZ_N},
+}
+FUZZ_FLAGS = {"matrix": ["--negative", "--char-poly"],
+              "verify": ["--negative"], "simulate": ["--negative"]}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    for option, values in FUZZ_OPTIONS[command].items():
+        value = draw(values)
+        if isinstance(value, list):
+            argv.append(f"{option}=" + ",".join(map(str, value)))
+        elif value is not None:
+            argv.append(f"{option}={value}")
+    argv += [flag for flag in FUZZ_FLAGS.get(command, []) if draw(st.booleans())]
+    fmt = draw(st.sampled_from([None, "json", "csv", "pretty"]))
+    return argv + ([f"--format={fmt}"] if fmt else [])
+
+
+# The explicit examples, one per kind of path a cost limit closes, end in a
+# traceback or run past the deadline when that limit is missing.
+@settings(max_examples=300, deadline=2000)
+@given(fuzz_argv())
+@example(["matrix", f"--base={10 ** 40}", "--d=0", "--n=2"])
+@example(["matrix", "--base=3", "--digits=-1,0,10", "--n=20", "--char-poly"])
+@example(["uniform-sum", f"--p={10 ** 60 + 1}/{10 ** 60}", "--n=72"])
+def test_argv_fuzz_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code, usage = exc.code, True
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+    if code == 2 and not usage:
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
+    if code in (0, 1):
+        assert err.getvalue() == "", argv
 
 
 def test_matrix_digits_carry_window_grows_with_n(capsys):
