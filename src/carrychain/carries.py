@@ -118,15 +118,25 @@ def _digit_sum_counts(digit_set: list[int], n: int) -> dict[int, int]:
     return counts
 
 
-def carry_bound(base: int, digit_set: list[int], n: int) -> int:
-    """R with every carry of the n-summand chain from 0 in [-R, R].
+def carry_interval(base: int, digit_set: list[int], n: int) -> tuple[int, int]:
+    """(low, high) with every carry of the n-summand chain from 0 in [low, high].
 
-    With S in [n*lo, n*hi] and a in [lo, hi], c -> (c + S - a) / base maps
-    [-R, R] into itself, for either sign of the base. Needs a nonempty
-    digit set and |base| >= 2.
+    A carry c goes to (c + S - a) / base, with S in [n*lo, n*hi] and a in
+    [lo, hi]: the numerator is c plus at most up = n*hi - lo, less at most
+    down = hi - n*lo. For b = |base| the real interval [-down, up] / (b - 1)
+    maps into itself when base > 0, and [-(down + b*up), b*down + up] /
+    (b^2 - 1) when base < 0, which flips the sign. Both hold 0, and carries
+    are integers, so the ends round inward. (0, 0) for a digit set without 0
+    or |base| < 2, which the oracle refuses before it looks for carries.
     """
+    b = abs(base)
+    if 0 not in digit_set or b < 2:
+        return 0, 0
     lo, hi = min(digit_set), max(digit_set)
-    return -(-max(n * hi - lo, hi - n * lo) // (abs(base) - 1))
+    up, down = n * hi - lo, hi - n * lo
+    if base > 0:
+        return -(down // (b - 1)), up // (b - 1)
+    return -((down + b * up) // (b * b - 1)), (b * down + up) // (b * b - 1)
 
 
 def transition_matrix_bruteforce(
@@ -166,15 +176,16 @@ def transition_matrix_bruteforce(
                 f"no digit with residue {r} mod {b}; digit set is incomplete")
         return (c + total - residue[r]) // base
 
-    R = carry_bound(base, digit_set, n)
+    low, high = carry_interval(base, digit_set, n)
     states = {0}
     frontier = {0}
     while frontier:
         new = {step(c, total) for c in frontier for total in counts}
         frontier = new - states
         states |= frontier
-        if any(abs(c) > R for c in frontier):
-            raise RuntimeError(f"carry beyond the proven bound {R} (internal error)")
+        if any(not low <= c <= high for c in frontier):
+            raise RuntimeError(f"carry outside the proven interval [{low}, "
+                               f"{high}] (internal error)")
     ordered = sorted(states)
     index = {c: i for i, c in enumerate(ordered)}
     m = len(ordered)

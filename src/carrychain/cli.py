@@ -31,18 +31,19 @@ def _p_bits(p: Fraction) -> int:
     return max(p.numerator.bit_length(), p.denominator.bit_length())
 
 
-def _carry_bound(args) -> int:
-    """carries.carry_bound of a --digits request; 0 without --digits and for
-    the bases cmd_matrix rejects."""
-    if not args.digits or args.base < 2:
+def _carry_width(args) -> int:
+    """high - low of carries.carry_interval on the --digits path, else 0."""
+    if args.digits is None:
         return 0
-    from .carries import carry_bound
+    from .carries import carry_interval
 
-    return carry_bound(args.base, args.digits, args.n)
+    low, high = carry_interval(-args.base if args.negative else args.base,
+                               args.digits, args.n)
+    return high - low
 
 
 # Cost limits (command, option, value of the args, limit), checked by main in
-# this order before any work, and before any import but the carry bound's.
+# this order before any work, and before any import but the carry interval's.
 # Cold runs (Python 3.11, shared 2-vCPU VM): triangle --p 5/3 --n-max 300
 # 1.3 s with 28 MB of JSON, and n-max 400 4.2 s; uniform-sum --n 500 2.3 s
 # at p 3/2 and 3.4 s at p 9/7, and n 600 5.9 s; simulate --steps 2000000
@@ -62,13 +63,18 @@ def _carry_bound(args) -> int:
 # and uniform-sum below 2^(2000 + 3768): at most 886 and 1737 digits, inside
 # the default 4300 of sys.get_int_max_str_digits(). A matrix --d payload
 # lists every digit: --base 100000 0.6 s with 1.3 MB of JSON, 1000000 4.0 s.
-# On the --digits path the state count is at most 2R + 1 for the carry bound
-# R, as n + 1 is in the closed form, and as in simulate the digit-sum table
-# has at most n * span + 1 sums: base 41, digits -20..20, n 80 (R 41, n *
-# span 3200) 0.8-1.1 s; past the limits base -31, digits -15..15, n 148
-# (n * span 4440) 2.1-2.5 s, base 16384, digits 0,1,37,1000,5003,9999,12345,
-# n 34 (n * span 419730) 5.5 s, and base 3, digits -1,0,10, n 40 --char-poly
-# (R 201, 225 states) over 200 s.
+# matrix's --base rows hold on the --d path only: --digits entries lie over
+# |D|^n (|D| <= span + 1) and its payload lists just the given digits. Its
+# states lie in carries.carry_interval, at most width + 1 of them; binary and
+# standard (0..b-1) digit sets have width <= n + 1 for either base sign, so
+# they pass up to the --n limits. The digit-sum table has at most n * span + 1
+# sums. At the limits: base 21, digits -10..10 or 0..20, n 150 (width 150-151)
+# 1.5-1.7 s, 9 MB of JSON; base 41, digits -20..20, n 80 (n * span 3200) 1.2 s;
+# --char-poly, base 81, digits -40..40 or 0..80, n 40 (width 40-41) 2.7-3.1 s.
+# Past them: base 3, digits -1,0,10, --char-poly, n 13 (width 76) 1.0 s and
+# n 40 (width 225) over 200 s; base -31, digits -15..15, n 148 (n * span
+# 4440) 2.1-2.5 s; base 16384, digits 0,1,37,1000,5003,9999,12345, n 34
+# (n * span 419730) 5.5 s.
 COST_LIMITS = (
     ("triangle", "--n-max", lambda a: a.n_max, 300),
     ("triangle", "--n-max * bit length of --p",
@@ -86,13 +92,14 @@ COST_LIMITS = (
      40),
     ("matrix", "--n", lambda a: a.n, 150),
     ("matrix", "--n * bit length of --base with --char-poly",
-     lambda a: a.n * a.base.bit_length() if a.char_poly else 0, 200),
+     lambda a: a.n * a.base.bit_length()
+     if a.char_poly and a.digits is None else 0, 200),
     ("matrix", "--n * bit length of --base",
-     lambda a: a.n * a.base.bit_length(), 750),
-    ("matrix", "--base", lambda a: a.base, 100_000),
-    ("matrix", "--digits carry bound with --char-poly",
-     lambda a: _carry_bound(a) if a.char_poly else 0, 20),
-    ("matrix", "--digits carry bound", _carry_bound, 75),
+     lambda a: a.n * a.base.bit_length() if a.digits is None else 0, 750),
+    ("matrix", "--base", lambda a: a.base if a.digits is None else 0, 100_000),
+    ("matrix", "--digits carry interval width with --char-poly",
+     lambda a: _carry_width(a) if a.char_poly else 0, 41),
+    ("matrix", "--digits carry interval width", _carry_width, 151),
     ("matrix", "--n * span of --digits",
      lambda a: a.n * (max(a.digits) - min(a.digits)) if a.digits else 0, 3200),
 )
@@ -470,9 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         for command, option, value, limit in COST_LIMITS:
-            if command == args.command and value(args) > limit:
+            if command == args.command and (got := value(args)) > limit:
                 raise ValueError(f"{option} must be <= {limit} (cost limit), "
-                                 f"got {value(args)}")
+                                 f"got {got}")
         payload, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from carrychain.carries import (
     ChainSpec,
     _digit_sum_counts,
+    carry_interval,
     find_system,
     p_param,
     state_space,
@@ -146,6 +147,21 @@ def test_bruteforce_sparse_digit_char_poly():
         assert not rem
     # Remaining quartic factor, cleared of denominators:
     assert [c * 2187 for c in quotient.coefficients] == [1, -30, -405, 0, 2187]
+
+
+def test_carry_interval_holds_every_state():
+    for b in range(2, 6):
+        for digits in (list(range(b)), list(range(-(b // 2), b - b // 2)),
+                       [0, *range(b + 1, 2 * b)]):
+            for base, n in itertools.product((b, -b), range(1, 6)):
+                states, _ = transition_matrix_bruteforce(base, digits, n)
+                low, high = carry_interval(base, digits, n)
+                assert low <= states[0] and states[-1] <= high
+    # Standard digits 0..b-1 keep carries in [-1, n] for a positive base.
+    assert carry_interval(10, list(range(10)), 7) == (-1, 7)
+    # (0, 0) where the oracle refuses before it looks for carries.
+    for base, digits in ((1, [0]), (-1, [0, 1]), (3, [1, 2]), (3, [])):
+        assert carry_interval(base, digits, 5) == (0, 0)
 
 
 def test_bruteforce_input_validation():
