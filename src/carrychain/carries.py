@@ -146,9 +146,9 @@ def transition_matrix_bruteforce(
 ) -> tuple[list[int], ExactMatrix]:
     """Definition-level oracle: (states, matrix) for an arbitrary digit set.
 
-    Computes the carry set reachable from 0 by closure, then counts the
-    solutions of base*c' + a = c + sum(x) with digits and output digit drawn
-    from the digit set. Requires 0 in the digit set and distinct residues
+    Closes the carry set reachable from 0, counting as each carry is reached
+    the solutions of base*c' + a = c + sum(x) with digits and output digit
+    drawn from the digit set. Requires 0 in the digit set and distinct residues
     mod |base|; residues the digit set cannot emit raise if ever needed.
     """
     from .exactmath import ExactMatrix
@@ -177,23 +177,23 @@ def transition_matrix_bruteforce(
         return (c + total - residue[r]) // base
 
     low, high = carry_interval(base, digit_set, n)
-    states = {0}
+    moves: dict[int, dict[int, int]] = {}  # carry -> {next carry: weight}
     frontier = {0}
     while frontier:
-        new = {step(c, total) for c in frontier for total in counts}
-        frontier = new - states
-        states |= frontier
+        for c in frontier:
+            out = moves[c] = {}
+            for total, w in counts.items():
+                nxt = step(c, total)
+                out[nxt] = out.get(nxt, 0) + w
+        # Same order as set - set, not - keys(); it picks the residue raised.
+        frontier = {x for c in frontier for x in moves[c]}.difference(moves)
         if any(not low <= c <= high for c in frontier):
             raise RuntimeError(f"carry outside the proven interval [{low}, "
                                f"{high}] (internal error)")
-    ordered = sorted(states)
-    index = {c: i for i, c in enumerate(ordered)}
-    m = len(ordered)
-    rows = [[0] * m for _ in range(m)]
-    for c in ordered:
-        for total, w in counts.items():
-            rows[index[c]][index[step(c, total)]] += w
-    return ordered, ExactMatrix.from_int_rows(rows, [len(digit_set) ** n] * m)
+    ordered = sorted(moves)
+    return ordered, ExactMatrix.from_int_rows(
+        [[moves[c].get(x, 0) for x in ordered] for c in ordered],
+        [len(digit_set) ** n] * len(ordered))
 
 
 def find_system(n: int, p: Fraction) -> NumerationSystem:

@@ -59,10 +59,11 @@ def _carry_width(args) -> int:
 # matrix --n 150 at base 31 0.8-1.3 s (base 256: 1.2 s, 17 MB; base 100000:
 # 3.4 s), with --char-poly --n 40 0.7-0.9 s (base 256: 2.2 s); triangle
 # --n-max 300 at p 5/3, 7/4, 7/5 1.0-1.1 s; uniform-sum --n 500 at p 9/7,
-# 15/14 2.4-2.6 s. So triangle prints integers below K^n n! < 2^(900 + 2042)
-# and uniform-sum below 2^(2000 + 3768): at most 886 and 1737 digits, inside
-# the default 4300 of sys.get_int_max_str_digits(). A matrix --d payload
-# lists every digit: --base 100000 0.6 s with 1.3 MB of JSON, 1000000 4.0 s.
+# 15/14 2.4-2.6 s. So triangle prints integers below K^n n! < 2^(900 + 2042),
+# uniform-sum below 2^(2000 + 3768) and find-system a base (n - 1)K + 1 below
+# 2^14000: at most 886, 1737 and 4215 digits, inside the default 4300 of
+# sys.get_int_max_str_digits(). A matrix --d payload lists every digit:
+# --base 100000 0.6 s with 1.3 MB of JSON, 1000000 4.0 s.
 # matrix's --base rows hold on the --d path only: --digits entries lie over
 # |D|^n (|D| <= span + 1) and its payload lists just the given digits. Its
 # states lie in carries.carry_interval, at most width + 1 of them; binary and
@@ -102,6 +103,8 @@ COST_LIMITS = (
     ("matrix", "--digits carry interval width", _carry_width, 151),
     ("matrix", "--n * span of --digits",
      lambda a: a.n * (max(a.digits) - min(a.digits)) if a.digits else 0, 3200),
+    ("find-system", "bit length of --n + bit length of --p",
+     lambda a: a.n.bit_length() + _p_bits(a.p), 14000),
 )
 
 

@@ -63,10 +63,6 @@ class ExactMatrix:
                 for row in self.ratios()]
         return f"ExactMatrix([{', '.join(rows)}])"
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def _common(self) -> tuple[int, list[list[int]]]:
         """(B, B * self) with B the lcm of the row denominators."""
         big = lcm(*self._den)
@@ -103,7 +99,7 @@ def determinant(a: ExactMatrix) -> Fraction:
     Runs on the integer rows, so every intermediate value is an integer;
     the product of the row denominators is divided back out at the end.
     """
-    if not a.is_square:
+    if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
     n = a.rows
     m = [list(row) for row in a._num]
@@ -153,7 +149,7 @@ def char_poly(a: ExactMatrix) -> ExactPolynomial:
     the row denominators; det(xI - BA) = B^m det((x/B)I - A), so ascending
     coefficient k is that of B*A times B^(k-m).
     """
-    if not a.is_square:
+    if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     big, w = a._common()
     poly = [1, -w[0][0]]  # descending, of the leading 1x1 block

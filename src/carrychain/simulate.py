@@ -68,13 +68,12 @@ def digit_sum_draw(digits: list[int], n: int):
     return cum[-1], draw
 
 
-def run_chain(cfg: SimConfig, exact: list[Fraction] | None = None) -> SimResult:
+def run_chain(cfg: SimConfig, exact: list[Fraction]) -> SimResult:
     """Simulate the carry chain from C_0 = 0 and tally post-burn-in visits.
 
     ``random.Random(seed)`` supplies one ``randrange(|D|^n)`` per step,
-    which picks the step's digit sum exactly (digit_sum_draw). If ``exact``
-    (ascending-state stationary probabilities) is given, the TV distance of
-    the empirical occupancy to it is reported; otherwise tv_distance is NaN.
+    which picks the step's digit sum exactly (digit_sum_draw). tv_distance
+    compares the occupancy with ``exact``, the ascending-state stationary law.
     """
     spec = cfg.spec
     sys_ = spec.system
@@ -103,10 +102,7 @@ def run_chain(cfg: SimConfig, exact: list[Fraction] | None = None) -> SimResult:
     samples = cfg.steps - cfg.burn_in
     empirical = {state: counts.get(state, 0) / samples
                  for state in space.states}
-    if exact is not None:
-        dist = tv_distance([empirical[s] for s in space.states],
-                           [float(x) for x in exact])
-    else:
-        dist = float("nan")
+    dist = tv_distance([empirical[s] for s in space.states],
+                       [float(x) for x in exact])
     return SimResult(config=cfg, counts=dict(sorted(counts.items())),
                      empirical=empirical, tv_distance=dist)

@@ -32,13 +32,6 @@ class ChainReport(namedtuple("ChainReport",
                              "spec states p P V spectrum pi verdicts")):
     __slots__ = ()
 
-    def __new__(cls, spec: ChainSpec, states: list[int], p: Fraction,
-                P: ExactMatrix, V: ExactMatrix, spectrum: list[Fraction],
-                pi: list[Fraction],
-                verdicts: dict[str, CheckResult] | None = None):
-        return super().__new__(cls, spec, states, p, P, V, spectrum, pi,
-                               {} if verdicts is None else verdicts)
-
     @property
     def verified(self) -> bool:
         return all(v.passed for v in self.verdicts.values())

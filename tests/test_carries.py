@@ -174,6 +174,15 @@ def test_bruteforce_input_validation():
     for n in (0, -3):
         with pytest.raises(ValueError, match="need at least one summand"):
             transition_matrix_bruteforce(2, [0, 1], n)
+    # An incomplete set reports the first missing residue the closure meets,
+    # carry by carry in frontier order; each of these is met at a carry != 0.
+    for base, digits, n, r in ((4, [-6, 0], 2, 1), (4, [-6, 0], 3, 3),
+                               (4, [0, 6], 2, 3), (6, [0, 4, 26], 2, 3),
+                               (-6, [0, 2, 4], 6, 3)):
+        with pytest.raises(ValueError) as exc:
+            transition_matrix_bruteforce(base, digits, n)
+        assert str(exc.value) == (f"no digit with residue {r} mod {abs(base)}; "
+                                  "digit set is incomplete")
 
 
 def test_find_system_examples():

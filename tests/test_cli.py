@@ -337,6 +337,10 @@ GUARD_CASES = [
      "matrix --base 3201 --digits=-1,0,3199 --n 1",
      "matrix --base 3202 --digits=-1,0,3200 --n 1",
      ["carries.transition_matrix_bruteforce"]),
+    ("find-system-bits", "bit length of --n + bit length of --p",
+     f"find-system --p {2 ** 7000 - 1} --n {2 ** 7000 - 1}",
+     f"find-system --p {2 ** 7000 - 1} --n {2 ** 7000}",
+     ["carries.find_system"]),
 ]
 
 
@@ -439,6 +443,7 @@ def fuzz_argv(draw):
 @example(["matrix", f"--base={10 ** 40}", "--d=0", "--n=2"])
 @example(["matrix", "--base=3", "--digits=-1,0,10", "--n=20", "--char-poly"])
 @example(["uniform-sum", f"--p={10 ** 60 + 1}/{10 ** 60}", "--n=72"])
+@example(["find-system", f"--p={10 ** 4290}", f"--n={10 ** 20}"])
 def test_argv_fuzz_keeps_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     usage = False

@@ -126,6 +126,11 @@ def test_polynomial_trims_leading_zeros():
     assert not ExactPolynomial([0, 0])
 
 
+def test_polynomial_repr_lists_exact_coefficients():
+    assert (repr(ExactPolynomial([1, 2]))
+            == "ExactPolynomial([Fraction(1, 1), Fraction(2, 1)])")
+
+
 def test_polynomial_divmod_exact():
     # x^3 - 1 = (x - 1)(x^2 + x + 1)
     cubic = ExactPolynomial([-1, 0, 0, 1])

@@ -29,6 +29,8 @@ def test_export_list_resolves():
         "transition_matrix_bruteforce", "triangle_recurrence", "tv_distance",
         "v_closed", "verify_diagonalization",
     ]
+    # Before the star import below loads them, dir() lists the lazy names too.
+    assert set(carrychain.__all__) <= set(dir(carrychain))
     namespace: dict = {}
     exec("from carrychain import *", namespace)  # fails on any unresolved name
     assert set(carrychain.__all__) <= namespace.keys()
@@ -87,7 +89,8 @@ def _records():
     config = SimConfig(spec=spec, steps=2000, seed=7)
     report = ChainReport(spec=spec, states=[0, 1], p=Fraction(3, 2),
                          P=ExactMatrix([[1, 0], [0, 1]]), V=ExactMatrix([[1]]),
-                         spectrum=[Fraction(1)], pi=[Fraction(1, 2)])
+                         spectrum=[Fraction(1)], pi=[Fraction(1, 2)],
+                         verdicts={})
     result = SimResult(config=config, counts={0: 3}, empirical={0: 0.5},
                        tv_distance=0.25)
     return [
