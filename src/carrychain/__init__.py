@@ -17,7 +17,7 @@ _EXPORTS = {
                     "transition_matrix_bruteforce"),
         ("eulerian", "stationary triangle_recurrence v_closed"),
         ("exactmath", "ExactMatrix ExactPolynomial char_poly determinant"),
-        ("numeration", "NumerationSystem RepresentableClass evaluate expand"),
+        ("numeration", "NumerationSystem"),
         ("simulate", "SimConfig SimResult run_chain tv_distance"),
         ("spectral", "ChainReport chain_spectrum commutes eigen_matrix "
                      "verify_diagonalization"),

@@ -178,15 +178,16 @@ def transition_matrix_bruteforce(
 
     low, high = carry_interval(base, digit_set, n)
     moves: dict[int, dict[int, int]] = {}  # carry -> {next carry: weight}
-    frontier = {0}
+    frontier = [0]
     while frontier:
+        # Least carry first, so the residue an incomplete set raises is stable.
         for c in frontier:
             out = moves[c] = {}
             for total, w in counts.items():
                 nxt = step(c, total)
                 out[nxt] = out.get(nxt, 0) + w
-        # Same order as set - set, not - keys(); it picks the residue raised.
-        frontier = {x for c in frontier for x in moves[c]}.difference(moves)
+        frontier = sorted({x for c in frontier for x in moves[c]}
+                          .difference(moves))
         if any(not low <= c <= high for c in frontier):
             raise RuntimeError(f"carry outside the proven interval [{low}, "
                                f"{high}] (internal error)")

@@ -44,38 +44,14 @@ def _carry_width(args) -> int:
 
 # Cost limits (command, option, value of the args, limit), checked by main in
 # this order before any work, and before any import but the carry interval's.
-# Cold runs (Python 3.11, shared 2-vCPU VM): triangle --p 5/3 --n-max 300
-# 1.3 s with 28 MB of JSON, and n-max 400 4.2 s; uniform-sum --n 500 2.3 s
-# at p 3/2 and 3.4 s at p 9/7, and n 600 5.9 s; simulate --steps 2000000
-# 2.6 s at base 2, n 5 and 3.2 s at base 16, n 10. At base 16, d -3: verify
-# --n 100 1.1-1.3 s (V@P grows as m^3) and n 150 3.8 s; matrix --n 150 1.1 s
-# with 8 MB of JSON, and n 200 3.2 s; matrix --char-poly --n 40 0.74 s
-# (Berkowitz grows as m^4) and n 60 7.4 s. simulate's digit-sum table costs
-# about (n * base)^2: 0.9-1.2 s at n * base = 3200 (base 16, n 200; base 32,
-# n 100).
-# Entries grow with the bits of b^n and p^n, at most n times the bit length
-# of b or of p's larger part ("n * bits" below). At the limits: verify --n
-# 100 at base 31 0.9 s (base 63, n * bits 600: 1.3 s; base 100000: 3.7 s);
-# matrix --n 150 at base 31 0.8-1.3 s (base 256: 1.2 s, 17 MB; base 100000:
-# 3.4 s), with --char-poly --n 40 0.7-0.9 s (base 256: 2.2 s); triangle
-# --n-max 300 at p 5/3, 7/4, 7/5 1.0-1.1 s; uniform-sum --n 500 at p 9/7,
-# 15/14 2.4-2.6 s. So triangle prints integers below K^n n! < 2^(900 + 2042),
-# uniform-sum below 2^(2000 + 3768) and find-system a base (n - 1)K + 1 below
-# 2^14000: at most 886, 1737 and 4215 digits, inside the default 4300 of
-# sys.get_int_max_str_digits(). A matrix --d payload lists every digit:
-# --base 100000 0.6 s with 1.3 MB of JSON, 1000000 4.0 s.
+# Entries grow with the bits of b^n and p^n, at most n times the bit length of
+# b or of p's larger part, so "n * bits" rows bound what the --n rows alone
+# let a huge base or p through. Under these rows every integer a command
+# prints stays below the 4300 digits of sys.get_int_max_str_digits().
 # matrix's --base rows hold on the --d path only: --digits entries lie over
-# |D|^n (|D| <= span + 1) and its payload lists just the given digits. Its
-# states lie in carries.carry_interval, at most width + 1 of them; binary and
-# standard (0..b-1) digit sets have width <= n + 1 for either base sign, so
-# they pass up to the --n limits. The digit-sum table has at most n * span + 1
-# sums. At the limits: base 21, digits -10..10 or 0..20, n 150 (width 150-151)
-# 1.5-1.7 s, 9 MB of JSON; base 41, digits -20..20, n 80 (n * span 3200) 1.2 s;
-# --char-poly, base 81, digits -40..40 or 0..80, n 40 (width 40-41) 2.7-3.1 s.
-# Past them: base 3, digits -1,0,10, --char-poly, n 13 (width 76) 1.0 s and
-# n 40 (width 225) over 200 s; base -31, digits -15..15, n 148 (n * span
-# 4440) 2.1-2.5 s; base 16384, digits 0,1,37,1000,5003,9999,12345, n 34
-# (n * span 419730) 5.5 s.
+# |D|^n and its payload lists just the given digits. Binary and standard
+# (0..b-1) digit sets have carry interval width <= n + 1 for either base
+# sign, so they pass up to the --n limits.
 COST_LIMITS = (
     ("triangle", "--n-max", lambda a: a.n_max, 300),
     ("triangle", "--n-max * bit length of --p",
@@ -147,12 +123,16 @@ def _scalar(value) -> str:
     return json.dumps(value)
 
 
+_PLAIN = (int, str, bool, float, type(None))
+
+
 def _emit_json(value, pad: str, write) -> None:
     """Write the json.dumps(..., indent=2) text of value, nested at pad.
 
     Fractions (and matrix entries) become {"num", "den"} decimal strings,
     tuples become lists and keys become str(key). A matrix is written one
-    row at a time from ratios(), the reduced pairs csv and pretty read too.
+    row at a time from ratios(), the reduced pairs csv and pretty read too,
+    and a list of plain scalars in one write.
     """
     inner = pad + "  "
     if hasattr(value, "ratios"):
@@ -184,6 +164,10 @@ def _emit_json(value, pad: str, write) -> None:
             write("[]")
             return
         sep = "[\n" + inner
+        if all(type(item) in _PLAIN for item in value):
+            write(sep + f",\n{inner}".join(map(_scalar, value))
+                  + f"\n{pad}]")
+            return
         for item in value:
             write(sep)
             _emit_json(item, inner, write)
@@ -484,13 +468,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"{option} must be <= {limit} (cost limit), "
                                  f"got {got}")
         payload, code = args.func(args)
+        # Streamed: an error here leaves part of the document on stdout.
+        render(_document(args, payload), args.format, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    render(_document(args, payload), args.format, sys.stdout)
     return code
 
 

@@ -83,14 +83,19 @@ def run_chain(cfg: SimConfig, exact: list[Fraction]) -> SimResult:
     # The chain from 0 never leaves the proven carry range; doing so is a bug.
     lo, hi = space.s, space.t
 
-    randrange = random.Random(cfg.seed).randrange
-    # sys_.digit_for_residue, inlined: the method call was a fifth of a step.
+    # randrange(size)'s own rejection loop, inlined: the same getrandbits(k)
+    # calls with the same k, so the same stream, without two calls per step.
+    getrandbits, k = random.Random(cfg.seed).getrandbits, size.bit_length()
+    # The output digit is the one congruent to total mod b.
     d, b = sys_.d, sys_.base_magnitude
     burn_in = cfg.burn_in
     c = 0
     counts: dict[int, int] = {}
     for step in range(cfg.steps):
-        total = c + draw(randrange(size))
+        u = getrandbits(k)
+        while u >= size:
+            u = getrandbits(k)
+        total = c + draw(u)
         a = d + (total - d) % b
         c = (total - a) // base
         if not lo <= c <= hi:

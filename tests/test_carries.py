@@ -97,10 +97,11 @@ def test_bruteforce_classical_two_summands():
 
 
 def test_bruteforce_matches_formula_small_grid():
+    # Every system with |b| <= 16 and n <= 10: 2,700 of them.
     for negative in (False, True):
-        for b in range(2, 7):
+        for b in range(2, 17):
             for d in range(-(b - 1), 1):
-                for n in range(1, 4):
+                for n in range(1, 11):
                     s = spec(b, d, n, negative=negative)
                     states, P = transition_matrix_bruteforce(
                         s.system.base, s.system.digits, n)
@@ -175,10 +176,12 @@ def test_bruteforce_input_validation():
         with pytest.raises(ValueError, match="need at least one summand"):
             transition_matrix_bruteforce(2, [0, 1], n)
     # An incomplete set reports the first missing residue the closure meets,
-    # carry by carry in frontier order; each of these is met at a carry != 0.
+    # each frontier least carry first; each of these is met at a carry != 0.
+    # In set order the last two would raise 2 and 1.
     for base, digits, n, r in ((4, [-6, 0], 2, 1), (4, [-6, 0], 3, 3),
                                (4, [0, 6], 2, 3), (6, [0, 4, 26], 2, 3),
-                               (-6, [0, 2, 4], 6, 3)):
+                               (-6, [0, 2, 4], 6, 3), (-6, [0, 9], 2, 5),
+                               (6, [0, 9], 5, 5)):
         with pytest.raises(ValueError) as exc:
             transition_matrix_bruteforce(base, digits, n)
         assert str(exc.value) == (f"no digit with residue {r} mod {abs(base)}; "

@@ -212,6 +212,35 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("error,code,prefix", [(ValueError, 2, "error"),
+                                               (RuntimeError, 3, "internal error")])
+def test_render_errors_keep_the_exit_contract(fmt, error, code, prefix,
+                                              monkeypatch, capsys):
+    # The third scalar or cell the emitters format raises: main exits as for
+    # an error in the command, with one stderr line and no traceback, and
+    # stdout keeps the part of the document already streamed.
+    argv = ["verify", "--base", "3", "--d", "-1", "--n", "2", "--format", fmt]
+    assert cli.main(argv) == 0
+    full = capsys.readouterr().out
+    calls = []
+
+    def fail_third(format_one):
+        def patched(value):
+            calls.append(value)
+            if len(calls) == 3:
+                raise error("emitter broke")
+            return format_one(value)
+        return patched
+
+    monkeypatch.setattr(cli, "_scalar", fail_third(cli._scalar))
+    monkeypatch.setattr(cli, "_cell", fail_third(cli._cell))
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert err == f"{prefix}: emitter broke\n"
+    assert out and full.startswith(out) and out != full
+
+
 def test_only_run_freezes_the_gc(monkeypatch, capsys):
     argv = ["verify", "--base", "3", "--d", "-1", "--n", "2"]
     before = gc.get_freeze_count()
@@ -281,62 +310,91 @@ def test_usage_errors_exit_two(capsys):
 
 SIM = "simulate --d -1 --seed 1 --steps"
 # One case per row of cli.COST_LIMITS: (id, option, argv at the limit, argv
-# one past it, the kernels the row keeps from running).
+# one past it, the kernels the row keeps from running). The comments give the
+# cold run times each limit was set from (Python 3.11, shared 2-vCPU VM).
 GUARD_CASES = [
+    # p 5/3: n-max 300 1.3 s with 28 MB of JSON; n-max 400 4.2 s.
     ("triangle", "--n-max", "triangle --p 5/3 --n-max 300",
      "triangle --p 5/3 --n-max 301", ["eulerian.triangle_recurrence"]),
+    # n-max 300 at p 5/3, 7/4, 7/5: 1.0-1.1 s. Rows print integers below
+    # K^n n! < 2^(900 + 2042), at most 886 digits.
     ("triangle-p-bits", "--n-max * bit length of --p",
      "triangle --p 7/4 --n-max 300", f"triangle --p 1/{2 ** 900} --n-max 1",
      ["eulerian.triangle_recurrence"]),
+    # n 500: 2.3 s at p 3/2, 3.4 s at p 9/7; n 600 5.9 s.
     ("uniform-sum", "--n", "uniform-sum --p 3/2 --n 500",
      "uniform-sum --p 3/2 --n 501",
      ["uniformsum.interval_probs", "eulerian.stationary"]),
+    # n 500 at p 9/7, 15/14: 2.4-2.6 s. Integers below 2^(2000 + 3768), at
+    # most 1737 digits.
     ("uniform-sum-p-bits", "--n * bit length of --p",
      "uniform-sum --p 15/14 --n 500", f"uniform-sum --p {2 ** 2000} --n 1",
      ["uniformsum.interval_probs", "eulerian.stationary"]),
+    # steps 2000000: 2.6 s at base 2, n 5; 3.2 s at base 16, n 10.
     ("simulate", "--steps", f"{SIM} 2000000 --base 3 --n 2",
      f"{SIM} 2000001 --base 3 --n 2",
      ["carries.chain_stationary", "simulate.run_chain"]),
     ("simulate-n", "--n", f"{SIM} 2000 --base 3 --n 200",
      f"{SIM} 2000 --base 3 --n 201",
      ["carries.chain_stationary", "simulate.run_chain"]),
+    # The digit-sum table costs about (n * base)^2: 0.9-1.2 s at 3200 (base
+    # 16, n 200; base 32, n 100).
     ("simulate-n-times-base", "--n * --base", f"{SIM} 2000 --base 3200 --n 1",
      f"{SIM} 2000 --base 3201 --n 1",
      ["carries.chain_stationary", "simulate.run_chain"]),
+    # base 16, d -3: n 100 1.1-1.3 s (V@P grows as m^3); n 150 3.8 s.
     ("verify", "--n", "verify --base 16 --d -3 --n 100",
      "verify --base 16 --d -3 --n 101", ["spectral.verify_diagonalization"]),
+    # n 100: 0.9 s at base 31; n * bits 600 (base 63) 1.3 s; base 100000
+    # 3.7 s.
     ("verify-base-bits", "--n * bit length of --base",
      "verify --base 31 --d -3 --n 100", f"verify --base {2 ** 500} --d 0 --n 1",
      ["spectral.verify_diagonalization"]),
+    # base 16, d -3: n 40 0.74 s (Berkowitz grows as m^4); n 60 7.4 s.
     ("matrix-char-poly", "--n with --char-poly",
      "matrix --base 16 --d -3 --n 40 --char-poly",
      "matrix --base 16 --d -3 --n 41 --char-poly",
      ["carries.transition_matrix", "exactmath.char_poly"]),
+    # base 16, d -3: n 150 1.1 s with 8 MB of JSON; n 200 3.2 s.
     ("matrix", "--n", "matrix --base 16 --d -3 --n 150",
      "matrix --base 16 --d -3 --n 151", ["carries.transition_matrix"]),
+    # n 40: 0.7-0.9 s at base 31; base 256 2.2 s.
     ("matrix-char-poly-base-bits",
      "--n * bit length of --base with --char-poly",
      "matrix --base 31 --d -3 --n 40 --char-poly",
      f"matrix --base {2 ** 200} --d 0 --n 1 --char-poly",
      ["carries.transition_matrix", "exactmath.char_poly"]),
+    # n 150: 0.8-1.3 s at base 31; base 256 1.2 s with 17 MB; base 100000
+    # 3.4 s.
     ("matrix-base-bits", "--n * bit length of --base",
      "matrix --base 31 --d -3 --n 150", f"matrix --base {2 ** 750} --d 0 --n 1",
      ["carries.transition_matrix"]),
+    # A --d payload lists every digit: base 100000 0.6 s with 1.3 MB of
+    # JSON; base 1000000 4.0 s.
     ("matrix-base", "--base", "matrix --base 100000 --d 0 --n 1",
      "matrix --base 100001 --d 0 --n 1", ["carries.transition_matrix"]),
+    # Base 81, digits -40..40 or 0..80, n 40 (width 40-41): 2.7-3.1 s. Base
+    # 3, digits -1,0,10: n 13 (width 76) 1.0 s; n 40 (width 225) over 200 s.
     ("matrix-char-poly-digits",
      "--digits carry interval width with --char-poly",
      "matrix --base 2 --digits=0,1 --n 40 --char-poly",
      "matrix --base 4 --negative --digits=-1,0,1,6 --n 17 --char-poly",
      ["carries.transition_matrix_bruteforce", "exactmath.char_poly"]),
+    # Base 21, digits -10..10 or 0..20, n 150 (width 150-151): 1.5-1.7 s
+    # with 9 MB of JSON.
     ("matrix-digits", "--digits carry interval width",
      "matrix --base 2 --digits=0,1 --n 150",
      "matrix --base 4 --negative --digits=-6,0,1,3 --n 50",
      ["carries.transition_matrix_bruteforce"]),
+    # The digit-sum table has at most n * span + 1 sums. Base 41, digits
+    # -20..20, n 80 (3200): 1.2 s. Past it: base -31, digits -15..15, n 148
+    # (4440) 2.1-2.5 s; base 16384, digits 0,1,37,1000,5003,9999,12345, n 34
+    # (419730) 5.5 s.
     ("matrix-digits-span", "--n * span of --digits",
      "matrix --base 3201 --digits=-1,0,3199 --n 1",
      "matrix --base 3202 --digits=-1,0,3200 --n 1",
      ["carries.transition_matrix_bruteforce"]),
+    # The base (n - 1)K + 1 stays below 2^14000, at most 4215 digits.
     ("find-system-bits", "bit length of --n + bit length of --p",
      f"find-system --p {2 ** 7000 - 1} --n {2 ** 7000 - 1}",
      f"find-system --p {2 ** 7000 - 1} --n {2 ** 7000}",

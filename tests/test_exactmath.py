@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from carrychain.carries import ChainSpec, transition_matrix, transition_matrix_bruteforce
@@ -154,7 +154,10 @@ def test_char_poly_diagonal_matrix():
     assert cp.coefficients[-1] == 1
 
 
-@settings(max_examples=30, deadline=None)
+# No shrink phase: the same 30 examples, but a wrong char_poly fails on the
+# first bad one instead of spending a minute shrinking it.
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(small_matrices(3))
 def test_char_poly_evaluates_like_determinant(a):
     cp, rows = char_poly(a), a.to_lists()

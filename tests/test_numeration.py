@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrychain.numeration import (
-    NumerationSystem,
+from carrychain.numeration import NumerationSystem
+from representability import (
     RepresentableClass,
+    digit_for_residue,
     evaluate,
     expand,
+    representable_class,
 )
 
 
@@ -39,13 +41,13 @@ def test_centroid_offset():
 
 
 def test_representable_class():
-    assert (NumerationSystem(10, 0).representable_class()
+    assert (representable_class(NumerationSystem(10, 0))
             is RepresentableClass.NON_NEGATIVES)
-    assert (NumerationSystem(10, -9).representable_class()
+    assert (representable_class(NumerationSystem(10, -9))
             is RepresentableClass.NON_POSITIVES)
-    assert (NumerationSystem(3, -1).representable_class()
+    assert (representable_class(NumerationSystem(3, -1))
             is RepresentableClass.ALL_INTEGERS)
-    assert (NumerationSystem(10, 0, negative=True).representable_class()
+    assert (representable_class(NumerationSystem(10, 0, negative=True))
             is RepresentableClass.ALL_INTEGERS)
 
 
@@ -80,7 +82,7 @@ def systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(systems(), st.integers(-10_000, 10_000))
 def test_expand_evaluate_round_trip(sys_, x):
-    cls = sys_.representable_class()
+    cls = representable_class(sys_)
     if cls is RepresentableClass.NON_NEGATIVES and x < 0:
         return
     if cls is RepresentableClass.NON_POSITIVES and x > 0:
@@ -95,6 +97,6 @@ def test_expand_evaluate_round_trip(sys_, x):
 @given(st.integers(2, 12), st.integers(-10_000, 10_000))
 def test_digit_for_residue_is_congruent(b, x):
     sys_ = NumerationSystem(b, -(b // 2))
-    dig = sys_.digit_for_residue(x)
+    dig = digit_for_residue(sys_, x)
     assert (x - dig) % b == 0
     assert sys_.d <= dig <= sys_.d + b - 1

@@ -45,9 +45,13 @@ MUTANTS = [
      "out[nxt] = out.get(nxt, 0) + 1",
      ["tests/test_carries.py"]),
     ("oracle-frontier-order", PKG + "carries.py",
-     "for x in moves[c]}.difference(moves)",
-     "for x in moves[c]} - moves.keys()",
+     "frontier = sorted({x for c in frontier for x in moves[c]}",
+     "frontier = list({x for c in frontier for x in moves[c]}",
      ["tests/test_carries.py"]),
+    ("sampler-bits", PKG + "simulate.py",
+     "size.bit_length()",
+     "(size - 1).bit_length()",
+     ["tests/test_simulate.py"]),
     ("tv-sum", PKG + "simulate.py",
      "sum(abs(Fraction(x) - Fraction(y))",
      "sum((Fraction(x) - Fraction(y))",
