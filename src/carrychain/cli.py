@@ -123,16 +123,12 @@ def _scalar(value) -> str:
     return json.dumps(value)
 
 
-_PLAIN = (int, str, bool, float, type(None))
-
-
 def _emit_json(value, pad: str, write) -> None:
     """Write the json.dumps(..., indent=2) text of value, nested at pad.
 
     Fractions (and matrix entries) become {"num", "den"} decimal strings,
     tuples become lists and keys become str(key). A matrix is written one
-    row at a time from ratios(), the reduced pairs csv and pretty read too,
-    and a list of plain scalars in one write.
+    row at a time from ratios(), the reduced pairs csv and pretty read too.
     """
     inner = pad + "  "
     if hasattr(value, "ratios"):
@@ -164,10 +160,6 @@ def _emit_json(value, pad: str, write) -> None:
             write("[]")
             return
         sep = "[\n" + inner
-        if all(type(item) in _PLAIN for item in value):
-            write(sep + f",\n{inner}".join(map(_scalar, value))
-                  + f"\n{pad}]")
-            return
         for item in value:
             write(sep)
             _emit_json(item, inner, write)
@@ -468,12 +460,17 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"{option} must be <= {limit} (cost limit), "
                                  f"got {got}")
         payload, code = args.func(args)
-        # Streamed: an error here leaves part of the document on stdout.
-        render(_document(args, payload), args.format, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    try:
+        # Streamed, so an error here leaves part of the document on stdout:
+        # past the cost limits it is a defect, never a usage error.
+        render(_document(args, payload), args.format, sys.stdout)
+    except (ValueError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return code

@@ -83,19 +83,14 @@ def run_chain(cfg: SimConfig, exact: list[Fraction]) -> SimResult:
     # The chain from 0 never leaves the proven carry range; doing so is a bug.
     lo, hi = space.s, space.t
 
-    # randrange(size)'s own rejection loop, inlined: the same getrandbits(k)
-    # calls with the same k, so the same stream, without two calls per step.
-    getrandbits, k = random.Random(cfg.seed).getrandbits, size.bit_length()
+    randrange = random.Random(cfg.seed).randrange
     # The output digit is the one congruent to total mod b.
     d, b = sys_.d, sys_.base_magnitude
     burn_in = cfg.burn_in
     c = 0
     counts: dict[int, int] = {}
     for step in range(cfg.steps):
-        u = getrandbits(k)
-        while u >= size:
-            u = getrandbits(k)
-        total = c + draw(u)
+        total = c + draw(randrange(size))
         a = d + (total - d) % b
         c = (total - a) // base
         if not lo <= c <= hi:

@@ -48,10 +48,6 @@ MUTANTS = [
      "frontier = sorted({x for c in frontier for x in moves[c]}",
      "frontier = list({x for c in frontier for x in moves[c]}",
      ["tests/test_carries.py"]),
-    ("sampler-bits", PKG + "simulate.py",
-     "size.bit_length()",
-     "(size - 1).bit_length()",
-     ["tests/test_simulate.py"]),
     ("tv-sum", PKG + "simulate.py",
      "sum(abs(Fraction(x) - Fraction(y))",
      "sum((Fraction(x) - Fraction(y))",
