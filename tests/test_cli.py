@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import carrychain.carries
 import carrychain.cli as cli
+import carrychain.simulate
 import carrychain.spectral
-from carrychain.carries import ChainSpec, transition_matrix
+from carrychain.carries import ChainSpec, StateSpace, transition_matrix
 from carrychain.exactmath import ExactMatrix
 from carrychain.numeration import NumerationSystem
 from eulerian_identities import row_sums
@@ -197,19 +198,35 @@ def test_python_m_keeps_output_and_exit_codes():
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
-    # A wrong p_param trips find_system's self-check, a RuntimeError.
-    argv = ["find-system", "--p", "5/3", "--n", "4"]
-    err = "internal error: constructed system has p=0, expected 5/3 (internal error)\n"
-    monkeypatch.setattr(carrychain.carries, "p_param", lambda spec: Fraction(0))
-    assert cli.main(argv) == 3
-    assert capsys.readouterr() == ("", err)
+    # Each patch trips one internal check, a RuntimeError: find_system's
+    # self-check on p, and the oracle's and run_chain's carry guards, given
+    # a carry interval or state space narrower than the proof.
+    cases = [
+        (carrychain.carries, "p_param", lambda spec: Fraction(0),
+         ["find-system", "--p", "5/3", "--n", "4"],
+         "constructed system has p=0, expected 5/3 (internal error)"),
+        (carrychain.carries, "carry_interval", lambda base, digits, n: (0, 0),
+         ["matrix", "--base", "3", "--digits=-1,0,4", "--n", "2"],
+         "carry outside the proven interval [0, 0] (internal error)"),
+        (carrychain.simulate, "state_space", lambda spec: StateSpace(0, 0),
+         ["simulate", "--base", "3", "--d", "-1", "--n", "2",
+          "--steps", "2000", "--seed", "1"],
+         "carry -1 left the state space [0, 0] at step 11"),
+    ]
+    for module, name, patched, argv, msg in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, patched)
+            assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", f"internal error: {msg}\n")
+    _, _, _, argv, msg = cases[0]
     proc = python_m("-c", f"""if True:
         import runpy, sys
         import carrychain.carries
         carrychain.carries.p_param = lambda spec: 0
         sys.argv = ["carrychain", *{argv!r}]
         runpy.run_module("carrychain.cli", run_name="__main__")""")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"internal error: {msg}\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])

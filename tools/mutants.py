@@ -105,6 +105,22 @@ MUTANTS = [
      "nonsingular = all(any(row) for row, _ in V.int_rows())",
      "nonsingular = True",
      ["tests/test_spectral.py"]),
+    ("oracle-interval-guard", PKG + "carries.py",
+     "if any(not low <= c <= high for c in frontier):",
+     "if False:",
+     ["tests/test_cli.py::test_internal_error_exits_three"]),
+    ("sim-state-guard", PKG + "simulate.py",
+     "if not lo <= c <= hi:",
+     "if False:",
+     ["tests/test_cli.py::test_internal_error_exits_three"]),
+    ("sim-output-digit", PKG + "simulate.py",
+     "a = d + (total - d) % b",
+     "a = total % b",
+     ["tests/test_simulate.py"]),
+    ("zero-digit-check", PKG + "numeration.py",
+     "if not (d <= 0 <= d + b - 1):",
+     "if not (d <= 0):",
+     ["tests/test_numeration.py"]),
     ("lazy-dir", PKG + "__init__.py",
      "return sorted({*globals(), *__all__})",
      "return sorted(globals())",
