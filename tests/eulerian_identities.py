@@ -1,19 +1,14 @@
 """Identities of the generalized Eulerian array, checked against v_closed.
 
 Each check returns the index pairs where its identity fails, so a failing
-test names them; every check is expected to return an empty list. The full
-array and its row sums are built here too, from v_closed, and the triangle
-by its recurrence in Fractions.
+test names them; every check is expected to return an empty list. The
+array's row sums are built here too, from v_closed, and the triangle by its
+recurrence in Fractions.
 """
 
 from fractions import Fraction
 
 from carrychain.eulerian import v_closed
-
-
-def eulerian_array(n: int, p) -> list[list[Fraction]]:
-    """The full (n+1) x (n+2) array; the extra last column is all zeros."""
-    return [[v_closed(n, p, i, j) for j in range(n + 2)] for i in range(n + 1)]
 
 
 def row_sums(n: int, p) -> list[Fraction]:
@@ -58,14 +53,6 @@ def array_recurrence_check(n: int, p) -> list[tuple[int, int]]:
     return bad
 
 
-def conjugate_parameter(p) -> Fraction:
-    """The p* with 1/p + 1/p* = 1, pairing a triangle with its reflection."""
-    p = Fraction(p)
-    if p <= 1:
-        raise ValueError(f"no finite conjugate for p={p}; need p > 1")
-    return p / (p - 1)
-
-
 def symmetry_check(n: int, p) -> list[tuple[int, int]]:
     """Index pairs where the reflection identity fails; expected empty.
 
@@ -73,7 +60,8 @@ def symmetry_check(n: int, p) -> list[tuple[int, int]]:
     index square that actually enters the n-state eigenvector matrix (the
     identity genuinely fails on the extra row i = n).
     For p > 1: v*[i][n-j] = (-1)^i (p*/p)^(n-i) v[i][j] over 0 <= i, j <= n,
-    where v* is the array of the conjugate parameter p*.
+    where v* is the array of the conjugate parameter p* = p/(p-1), the one
+    with 1/p + 1/p* = 1.
     """
     p = Fraction(p)
     bad = []
@@ -83,7 +71,7 @@ def symmetry_check(n: int, p) -> list[tuple[int, int]]:
                 if v_closed(n, 1, i, n - 1 - j) != (-1) ** i * v_closed(n, 1, i, j):
                     bad.append((i, j))
         return bad
-    ps = conjugate_parameter(p)
+    ps = p / (p - 1)
     for i in range(n + 1):
         for j in range(n + 1):
             lhs = v_closed(n, ps, i, n - j)

@@ -10,13 +10,10 @@ with output digits {-1, 0, 10} instead.
 import itertools
 import json
 import math
-import pathlib
 from fractions import Fraction
 
-import carrychain.cli as cli
 import carrychain.spectral
 from carrychain.carries import (
-    ChainSpec,
     p_param,
     state_space,
     transition_matrix,
@@ -24,22 +21,12 @@ from carrychain.carries import (
 )
 from carrychain.eulerian import triangle_recurrence, v_closed
 from carrychain.exactmath import ExactMatrix, ExactPolynomial, char_poly
-from carrychain.numeration import NumerationSystem
 from carrychain.simulate import SimConfig, run_chain
 from carrychain.spectral import chain_stationary, commutes, eigen_matrix
 from carrychain.uniformsum import interval_prob
+from cases import GOLDEN, GOLDEN_CASES, frac_matrix, run_cli, spec
 from eulerian_identities import array_recurrence_check, row_sums, symmetry_check
 from polynomials import poly_divmod, poly_mul, poly_scale
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-def spec(b, d, n, negative=False):
-    return ChainSpec(NumerationSystem(b, d, negative=negative), n)
-
-
-def frac_matrix(rows, denom):
-    return ExactMatrix([[Fraction(x, denom) for x in row] for row in rows])
 
 
 def verdict(num, name, ok, detail=""):
@@ -147,11 +134,12 @@ def test_criterion_03_diagonalization_grid():
 
 
 def test_criterion_04_oracle_equivalence():
+    # Every system with |b| <= 16 and n <= 10: 2,700 of them.
     bad = []
     for negative in (False, True):
-        for b in range(2, 9):
+        for b in range(2, 17):
             for d in range(-(b - 1), 1):
-                for n in range(1, 5):
+                for n in range(1, 11):
                     s = spec(b, d, n, negative)
                     states, P = transition_matrix_bruteforce(
                         s.system.base, s.system.digits, n)
@@ -264,10 +252,10 @@ def test_criterion_06_eulerian_identities():
               Fraction(7, 4)]
     bad = []
     for p in p_grid:
-        for n in range(1, 9):
+        for n in range(9):
             if any(v_closed(n, p, i, n + 1) != 0 for i in range(n + 1)):
                 bad.append(("last column", p, n))
-            if array_recurrence_check(n, p):
+            if n and array_recurrence_check(n, p):
                 bad.append(("recurrence", p, n))
             sums = row_sums(n, p)
             if sums[0] != p ** n * math.factorial(n):
@@ -322,44 +310,16 @@ def test_criterion_09_simulation_statistics():
     verdict(9, "simulation statistics", not problems, "; ".join(problems))
 
 
-def _run_cli(argv, capsys):
-    code = cli.main(argv)
-    return code, capsys.readouterr().out
-
-
-GOLDEN_CASES = [
-    ("triangle.json",
-     ["triangle", "--p", "2", "--n-max", "4", "--format", "json"]),
-    ("matrix.json",
-     ["matrix", "--base", "3", "--d", "-1", "--n", "2", "--format", "json"]),
-    ("matrix_sparse.json",
-     ["matrix", "--base", "3", "--digits=-1,0,4", "--n", "2",
-      "--char-poly", "--format", "json"]),
-    ("verify.json",
-     ["verify", "--base", "5", "--d", "-1", "--n", "3", "--format", "json"]),
-    ("verify_negative.json",
-     ["verify", "--base", "3", "--d", "-1", "--n", "2", "--negative",
-      "--format", "json"]),
-    ("find_system.json",
-     ["find-system", "--p", "5/3", "--n", "4", "--format", "json"]),
-    ("uniform_sum.json",
-     ["uniform-sum", "--p", "3", "--n", "3", "--format", "json"]),
-    ("simulate.json",
-     ["simulate", "--base", "3", "--d", "-1", "--n", "2", "--steps", "20000",
-      "--seed", "42", "--format", "json"]),
-]
-
-
 def test_criterion_10_cli_contract(capsys, monkeypatch):
     problems = []
     for fname, argv in GOLDEN_CASES:
-        code, out = _run_cli(argv, capsys)
+        code, out = run_cli(argv, capsys)
         if code != 0:
             problems.append(f"{fname}: exit {code}")
         elif out != (GOLDEN / fname).read_text():
             problems.append(f"{fname}: output differs from golden file")
 
-    code, _ = _run_cli(
+    code, _ = run_cli(
         ["simulate", "--base", "3", "--d", "-1", "--n", "2",
          "--steps", "0", "--seed", "1"], capsys)
     if code != 2:
@@ -373,7 +333,7 @@ def test_criterion_10_cli_contract(capsys, monkeypatch):
         return ExactMatrix(rows)
 
     monkeypatch.setattr(carrychain.spectral, "transition_matrix", corrupted)
-    code, out = _run_cli(
+    code, out = run_cli(
         ["verify", "--base", "3", "--d", "-1", "--n", "2",
          "--format", "json"], capsys)
     monkeypatch.undo()

@@ -19,15 +19,7 @@ from carrychain.carries import (
     transition_matrix_bruteforce,
 )
 from carrychain.exactmath import ExactMatrix
-from carrychain.numeration import NumerationSystem
-
-
-def spec(b, d, n, negative=False):
-    return ChainSpec(NumerationSystem(b, d, negative=negative), n)
-
-
-def frac_matrix(rows, denom):
-    return ExactMatrix([[Fraction(x, denom) for x in row] for row in rows])
+from cases import frac_matrix, spec
 
 
 def test_state_space_examples():
@@ -61,19 +53,6 @@ def test_p_param_negative_base():
     assert p_param(spec(3, -1, 2, negative=True)) == 2
 
 
-def test_transition_matrix_reference_p2_systems():
-    assert transition_matrix(spec(3, -1, 2)) == frac_matrix(
-        [[3, 6, 0], [1, 7, 1], [0, 6, 3]], 9)
-    assert transition_matrix(spec(5, -1, 3)) == frac_matrix(
-        [[10, 80, 35, 0], [4, 68, 52, 1], [1, 52, 68, 4], [0, 35, 80, 10]],
-        125)
-
-
-def test_transition_matrix_reference_p53_system():
-    assert transition_matrix(spec(6, -3, 2)) == frac_matrix(
-        [[10, 25, 1], [6, 27, 3], [3, 27, 6]], 36)
-
-
 def test_transition_matrix_rows_stochastic():
     for s in (spec(7, -1, 4), spec(11, -3, 3), spec(4, -2, 3, negative=True)):
         P = transition_matrix(s)
@@ -94,19 +73,6 @@ def test_bruteforce_classical_two_summands():
     states, P = transition_matrix_bruteforce(10, list(range(10)), 2)
     assert states == [0, 1]
     assert P == frac_matrix([[55, 45], [45, 55]], 100)
-
-
-def test_bruteforce_matches_formula_small_grid():
-    # Every system with |b| <= 16 and n <= 10: 2,700 of them.
-    for negative in (False, True):
-        for b in range(2, 17):
-            for d in range(-(b - 1), 1):
-                for n in range(1, 11):
-                    s = spec(b, d, n, negative=negative)
-                    states, P = transition_matrix_bruteforce(
-                        s.system.base, s.system.digits, n)
-                    assert states == state_space(s).states, (b, d, n, negative)
-                    assert P == transition_matrix(s), (b, d, n, negative)
 
 
 @settings(max_examples=60, deadline=None)

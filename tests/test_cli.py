@@ -19,34 +19,10 @@ import carrychain.carries
 import carrychain.cli as cli
 import carrychain.simulate
 import carrychain.spectral
-from carrychain.carries import ChainSpec, StateSpace, transition_matrix
+from carrychain.carries import StateSpace, transition_matrix
 from carrychain.exactmath import ExactMatrix
-from carrychain.numeration import NumerationSystem
+from cases import GOLDEN, GOLDEN_CASES, run_cli, spec
 from eulerian_identities import row_sums
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-GOLDEN_CASES = [
-    ("triangle.json",
-     ["triangle", "--p", "2", "--n-max", "4", "--format", "json"]),
-    ("matrix.json",
-     ["matrix", "--base", "3", "--d", "-1", "--n", "2", "--format", "json"]),
-    ("matrix_sparse.json",
-     ["matrix", "--base", "3", "--digits=-1,0,4", "--n", "2",
-      "--char-poly", "--format", "json"]),
-    ("verify.json",
-     ["verify", "--base", "5", "--d", "-1", "--n", "3", "--format", "json"]),
-    ("verify_negative.json",
-     ["verify", "--base", "3", "--d", "-1", "--n", "2", "--negative",
-      "--format", "json"]),
-    ("find_system.json",
-     ["find-system", "--p", "5/3", "--n", "4", "--format", "json"]),
-    ("uniform_sum.json",
-     ["uniform-sum", "--p", "3", "--n", "3", "--format", "json"]),
-    ("simulate.json",
-     ["simulate", "--base", "3", "--d", "-1", "--n", "2", "--steps", "20000",
-      "--seed", "42", "--format", "json"]),
-]
 
 # The same requests rendered as csv and pretty text, pinned byte for byte.
 RENDER_CASES = [
@@ -108,12 +84,6 @@ def reference_text(doc, fmt: str) -> str:
     else:
         cli._emit_pretty(doc["command"], fields, out)
     return out.getvalue()
-
-
-def run_cli(argv, capsys):
-    code = cli.main(argv)
-    out = capsys.readouterr().out
-    return code, out
 
 
 @pytest.mark.parametrize("fname,argv", GOLDEN_CASES + RENDER_CASES,
@@ -542,7 +512,7 @@ def test_matrix_digits_carry_window_grows_with_n(capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["states"] == list(range(40))
-    closed = transition_matrix(ChainSpec(NumerationSystem(2, 0), 40))
+    closed = transition_matrix(spec(2, 0, 40))
     assert payload["matrix"] == _jsonify(closed)
 
 

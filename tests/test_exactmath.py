@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from carrychain.carries import ChainSpec, transition_matrix, transition_matrix_bruteforce
+from carrychain.carries import transition_matrix, transition_matrix_bruteforce
 from carrychain.exactmath import (
     ExactMatrix,
     ExactPolynomial,
@@ -14,7 +14,7 @@ from carrychain.exactmath import (
     determinant,
     ratio_text,
 )
-from carrychain.numeration import NumerationSystem
+from cases import spec
 from polynomials import poly_degree, poly_divmod, poly_eval, poly_mul, poly_scale
 
 rationals = st.fractions(
@@ -228,8 +228,7 @@ def test_char_poly_matches_interpolation_on_carry_chains():
         for b in range(2, 8):
             for d in range(-(b - 1), 1):
                 for n in range(1, 7):
-                    P = transition_matrix(
-                        ChainSpec(NumerationSystem(b, d, negative=negative), n))
+                    P = transition_matrix(spec(b, d, n, negative))
                     assert char_poly(P) == interpolated_char_poly(P), (b, d, n, negative)
     _, P = transition_matrix_bruteforce(3, [-1, 0, 4], 2)
     assert char_poly(P) == interpolated_char_poly(P)

@@ -4,8 +4,7 @@ from collections import Counter
 
 import pytest
 
-from carrychain.carries import ChainSpec, _digit_sum_counts, state_space
-from carrychain.numeration import NumerationSystem
+from carrychain.carries import _digit_sum_counts, state_space
 from carrychain.simulate import (
     GENERATOR_ALGORITHM,
     SimConfig,
@@ -14,10 +13,7 @@ from carrychain.simulate import (
     tv_distance,
 )
 from carrychain.spectral import chain_stationary
-
-
-def spec(b, d, n, negative=False):
-    return ChainSpec(NumerationSystem(b, d, negative=negative), n)
+from cases import spec
 
 
 def test_tv_distance_trivials():

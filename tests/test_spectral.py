@@ -6,10 +6,9 @@ from math import gcd
 import pytest
 
 import carrychain.spectral as spectral
-from carrychain.carries import ChainSpec, transition_matrix, transition_matrix_bruteforce
+from carrychain.carries import transition_matrix, transition_matrix_bruteforce
 from carrychain.eulerian import v_closed
 from carrychain.exactmath import ExactMatrix, determinant
-from carrychain.numeration import NumerationSystem
 from carrychain.spectral import (
     chain_spectrum,
     chain_stationary,
@@ -17,6 +16,7 @@ from carrychain.spectral import (
     eigen_matrix,
     verify_diagonalization,
 )
+from cases import spec
 
 
 def spectrum_probe(P: ExactMatrix,
@@ -34,33 +34,6 @@ def spectrum_probe(P: ExactMatrix,
                    for i, row in enumerate(rows)]
         out.append((lam, determinant(ExactMatrix(shifted)) == 0))
     return out
-
-
-def spec(b, d, n, negative=False):
-    return ChainSpec(NumerationSystem(b, d, negative=negative), n)
-
-
-def test_eigen_matrix_reference_p2_n2():
-    assert eigen_matrix(2, 2, 3) == ExactMatrix(
-        [[1, 6, 1], [1, 0, -1], [1, -2, 1]])
-
-
-def test_eigen_matrix_reference_p53_n2():
-    assert eigen_matrix(2, Fraction(5, 3), 3) == ExactMatrix([
-        [1, Fraction(37, 9), Fraction(4, 9)],
-        [1, Fraction(-1, 3), Fraction(-2, 3)],
-        [1, -2, 1],
-    ])
-
-
-def test_eigen_matrix_reference_p2_n4():
-    assert eigen_matrix(4, 2, 5) == ExactMatrix([
-        [1, 76, 230, 76, 1],
-        [1, 22, 0, -22, -1],
-        [1, 4, -10, 4, 1],
-        [1, -2, 0, 2, -1],
-        [1, -4, 6, -4, 1],
-    ])
 
 
 def test_eigen_matrix_matches_v_closed():
@@ -195,16 +168,6 @@ def test_eigenbasis_certificate_agrees_with_is_nonsingular():
                     assert verdicts["eigenvector_equation"].passed
                     assert (verdicts["eigenbasis_nonsingular"].passed
                             == nonsingular), (b, d, n, negative)
-
-
-def test_grid_diagonalization_modest():
-    for negative in (False, True):
-        for b in range(2, 7):
-            for d in range(-(b - 1), 1):
-                for n in range(1, 5):
-                    report = verify_diagonalization(spec(b, d, n, negative))
-                    assert report.verified, (b, d, n, negative,
-                                             report.verdicts)
 
 
 def corrupt_transition_matrix(monkeypatch, edit):

@@ -38,6 +38,8 @@ CHAR_POLY_CASES = [
     "tests/test_carries.py::test_bruteforce_sparse_digit_char_poly",
 ]
 
+CRITERION = "tests/test_acceptance.py::test_criterion_"
+
 # (name, file, old, new, target test files or node ids)
 MUTANTS = [
     ("oracle-weight", PKG + "carries.py",
@@ -87,7 +89,7 @@ MUTANTS = [
     ("binomial-top", PKG + "carries.py",
      "_count_binom(n + b * t + e - i, n)",
      "_count_binom(n + b * t + e - i + 1, n)",
-     ["tests/test_carries.py"]),
+     [CRITERION + "04_oracle_equivalence", "tests/test_carries.py"]),
     ("emitter-num-den-swap", PKG + "cli.py",
      '[f"{head}{num}{mid}{den}{tail}" for num, den in row]',
      '[f"{head}{den}{mid}{num}{tail}" for num, den in row]',
@@ -125,6 +127,32 @@ MUTANTS = [
      "return sorted({*globals(), *__all__})",
      "return sorted(globals())",
      ["tests/test_package.py"]),
+    # One per closed form: V, pi, p, the Eulerian and Irwin-Hall kernels,
+    # and the alternating binomial sum that P and V share.
+    ("eigen-row-power", PKG + "spectral.py",
+     "(k * t + l) ** (n - i)",
+     "(k * t + l) ** (n - i + 1)",
+     [CRITERION + "02_matrix_reproduction"]),
+    ("stationary-scale", PKG + "eulerian.py",
+     "total = k ** n * factorial(n)",
+     "total = k ** n * factorial(n + 1)",
+     [CRITERION + "03_diagonalization_grid"]),
+    ("p-param-reciprocal", PKG + "carries.py",
+     "return 1 / (x - math.floor(x))",
+     "return 1 / (math.ceil(x) - x)",
+     ["tests/test_carries.py"]),
+    ("triangle-recurrence-weight", PKG + "eulerian.py",
+     "(K * (n + 1 - k) - L)",
+     "(K * (n - k) - L)",
+     [CRITERION + "01_triangle_reproduction"]),
+    ("alternating-binomial", PKG + "eulerian.py",
+     "comb(n + 1, r) for r in range(min(len(f), n + 2))",
+     "comb(n, r) for r in range(min(len(f), n + 2))",
+     [CRITERION + "02_matrix_reproduction"]),
+    ("irwin-hall-kernel", PKG + "uniformsum.py",
+     "(a - j * k) ** n",
+     "(a - j * k) ** (n - 1)",
+     ["tests/test_uniformsum.py"]),
 ]
 
 
