@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("carries", "ChainSpec StateSpace chain_stationary find_system "
-                    "p_param state_space transition_matrix "
+        ("carries", "ChainSpec NumerationSystem StateSpace chain_stationary "
+                    "find_system p_param state_space transition_matrix "
                     "transition_matrix_bruteforce"),
         ("eulerian", "stationary triangle_recurrence v_closed"),
         ("exactmath", "ExactMatrix ExactPolynomial char_poly determinant"),
-        ("numeration", "NumerationSystem"),
         ("simulate", "SimConfig SimResult run_chain tv_distance"),
         ("spectral", "ChainReport chain_spectrum commutes eigen_matrix "
                      "verify_diagonalization"),

@@ -249,8 +249,7 @@ def _document(args, payload: dict) -> dict:
 
 
 def _spec(args):
-    from .carries import ChainSpec
-    from .numeration import NumerationSystem
+    from .carries import ChainSpec, NumerationSystem
 
     return ChainSpec(NumerationSystem(base_magnitude=args.base, d=args.d,
                                       negative=args.negative), args.n)

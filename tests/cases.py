@@ -5,9 +5,8 @@ import pathlib
 from fractions import Fraction
 
 import carrychain.cli as cli
-from carrychain.carries import ChainSpec
+from carrychain.carries import ChainSpec, NumerationSystem
 from carrychain.exactmath import ExactMatrix
-from carrychain.numeration import NumerationSystem
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

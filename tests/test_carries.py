@@ -1,4 +1,5 @@
-"""Tests for carry-chain state spaces, parameters, and transition matrices."""
+"""Tests for numeration systems, carry-chain state spaces, parameters, and
+transition matrices."""
 
 import itertools
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from carrychain.carries import (
     ChainSpec,
+    NumerationSystem,
     _digit_sum_counts,
     carry_interval,
     find_system,
@@ -20,6 +22,30 @@ from carrychain.carries import (
 )
 from carrychain.exactmath import ExactMatrix
 from cases import frac_matrix, spec
+
+
+def test_digit_set_and_signed_base():
+    sys_ = NumerationSystem(base_magnitude=3, d=-1)
+    assert sys_.digits == [-1, 0, 1]
+    assert sys_.base == 3
+    neg = NumerationSystem(base_magnitude=3, d=-1, negative=True)
+    assert neg.base == -3
+
+
+def test_invalid_systems_rejected():
+    with pytest.raises(ValueError):
+        NumerationSystem(base_magnitude=1, d=0)
+    with pytest.raises(ValueError):
+        NumerationSystem(base_magnitude=3, d=1)    # 0 not a digit
+    with pytest.raises(ValueError):
+        NumerationSystem(base_magnitude=3, d=-3)
+
+
+def test_centroid_offset():
+    assert NumerationSystem(3, -1).centroid_offset == Fraction(-1, 2)
+    assert NumerationSystem(10, 0).centroid_offset == 0
+    assert NumerationSystem(3, -1, negative=True).centroid_offset == Fraction(-1, 2)
+    assert NumerationSystem(6, -3).centroid_offset == Fraction(-3, 5)
 
 
 def test_state_space_examples():

@@ -9,9 +9,8 @@ from fractions import Fraction
 import pytest
 
 import carrychain
-from carrychain.carries import ChainSpec, StateSpace
+from carrychain.carries import ChainSpec, NumerationSystem, StateSpace
 from carrychain.exactmath import ExactMatrix
-from carrychain.numeration import NumerationSystem
 from carrychain.simulate import SimConfig, SimResult
 from carrychain.spectral import ChainReport, CheckResult
 
@@ -64,6 +63,14 @@ def test_cli_imports_only_what_a_command_needs():
     uniform = _imported("-m", "carrychain.cli", "uniform-sum", "--p", "5/3",
                         "--n", "3") - bare
     assert package(uniform) == {"carrychain.eulerian", "carrychain.uniformsum"}
+    find = _imported("-m", "carrychain.cli", "find-system", "--p", "5/3",
+                     "--n", "4") - bare
+    assert package(find) == {"carrychain.carries", "carrychain.eulerian"}
+    digits = _imported("-m", "carrychain.cli", "matrix", "--base", "3",
+                       "--digits=-1,0,4", "--n", "2") - bare
+    assert "carrychain.carries" in digits
+    assert not digits & {"carrychain.spectral", "carrychain.simulate",
+                         "carrychain.uniformsum"}
     simulate = _imported("-m", "carrychain.cli", "simulate", "--base", "3",
                          "--d", "-1", "--n", "2", "--steps", "2000",
                          "--seed", "1") - bare

@@ -39,6 +39,18 @@ CHAR_POLY_CASES = [
 ]
 
 CRITERION = "tests/test_acceptance.py::test_criterion_"
+GUARD = "tests/test_cli.py::test_cost_guards_refuse_before_any_work["
+GOLDEN = "tests/test_cli.py::test_golden_output"
+JSON_REFERENCE = "tests/test_cli.py::test_json_emitter_matches_reference_on_"
+
+
+def _cost_row(case: str, head: str, limit: str):
+    """The mutant that raises one cli.COST_LIMITS row's limit by one: head is
+    the row's text from its option up to the limit, killed by the row's case
+    of the cost guard test."""
+    return (f"cost-{case}", PKG + "cli.py", f"{head}{limit})",
+            f"{head}{int(limit) + 1})", [f"{GUARD}{case}]"])
+
 
 # (name, file, old, new, target test files or node ids)
 MUTANTS = [
@@ -58,10 +70,6 @@ MUTANTS = [
      "    if a.rows != a.cols:\n        raise ValueError(\"determinant",
      "    if a.rows > a.cols:\n        raise ValueError(\"determinant",
      ["tests/test_exactmath.py"]),
-    ("find-system-limit", PKG + "cli.py",
-     "lambda a: a.n.bit_length() + _p_bits(a.p), 14000)",
-     "lambda a: a.n.bit_length() + _p_bits(a.p), 14001)",
-     ["tests/test_cli.py"]),
     ("berkowitz-sign", PKG + "exactmath.py",
      "column.append(-sum(map(mul, row, vec)))",
      "column.append(sum(map(mul, row, vec)))",
@@ -90,14 +98,29 @@ MUTANTS = [
      "_count_binom(n + b * t + e - i, n)",
      "_count_binom(n + b * t + e - i + 1, n)",
      [CRITERION + "04_oracle_equivalence", "tests/test_carries.py"]),
+    # One per output path: the JSON matrix and Fraction branches, the scalar
+    # fast path, csv mapping cells and pretty alignment.
     ("emitter-num-den-swap", PKG + "cli.py",
      '[f"{head}{num}{mid}{den}{tail}" for num, den in row]',
      '[f"{head}{den}{mid}{num}{tail}" for num, den in row]',
-     ["tests/test_cli.py"]),
+     [GOLDEN, JSON_REFERENCE + "commands"]),
+    ("json-fraction-numerator", PKG + "cli.py",
+     '"num": "{value.numerator}"',
+     '"num": "{value.denominator}"',
+     [GOLDEN, JSON_REFERENCE + "synthetic_docs"]),
+    ("scalar-quote-check", PKG + "cli.py",
+     "and '\"' not in value and",
+     "and",
+     ["tests/test_cli.py::test_scalar_fast_path_matches_json_dumps",
+      JSON_REFERENCE + "synthetic_docs"]),
     ("csv-mapping-separator", PKG + "cli.py",
      'writer.writerow([key, *[f"{k}={v}" for k, v in cells]])',
      'writer.writerow([key, *[f"{k}:{v}" for k, v in cells]])',
-     ["tests/test_cli.py"]),
+     [GOLDEN]),
+    ("pretty-right-align", PKG + "cli.py",
+     "cell.rjust(widths[j])",
+     "cell.ljust(widths[j])",
+     [GOLDEN, "tests/test_cli.py::test_csv_and_pretty_reduce_matrix_entries"]),
     ("value-error-exit-code", PKG + "cli.py",
      '        print(f"error: {exc}", file=sys.stderr)\n        return EXIT_USAGE',
      '        print(f"error: {exc}", file=sys.stderr)\n'
@@ -119,10 +142,10 @@ MUTANTS = [
      "a = d + (total - d) % b",
      "a = total % b",
      ["tests/test_simulate.py"]),
-    ("zero-digit-check", PKG + "numeration.py",
+    ("zero-digit-check", PKG + "carries.py",
      "if not (d <= 0 <= d + b - 1):",
      "if not (d <= 0):",
-     ["tests/test_numeration.py"]),
+     ["tests/test_carries.py::test_invalid_systems_rejected"]),
     ("lazy-dir", PKG + "__init__.py",
      "return sorted({*globals(), *__all__})",
      "return sorted(globals())",
@@ -153,6 +176,43 @@ MUTANTS = [
      "(a - j * k) ** n",
      "(a - j * k) ** (n - 1)",
      ["tests/test_uniformsum.py"]),
+    # One per cli.COST_LIMITS row, named after its guard test case.
+    _cost_row("triangle", '"--n-max", lambda a: a.n_max, ', "300"),
+    _cost_row("triangle-p-bits", '"--n-max * bit length of --p",\n'
+              "     lambda a: a.n_max * _p_bits(a.p), ", "900"),
+    _cost_row("uniform-sum", '"--n", lambda a: a.n, ', "500"),
+    _cost_row("uniform-sum-p-bits", '"--n * bit length of --p", '
+              "lambda a: a.n * _p_bits(a.p),\n     ", "2000"),
+    _cost_row("simulate", '"--steps", lambda a: a.steps, ', "2_000_000"),
+    _cost_row("simulate-n", '"--n", lambda a: a.n, ', "200"),
+    _cost_row("simulate-n-times-base",
+              '"--n * --base", lambda a: a.n * a.base, ', "3200"),
+    _cost_row("verify", '"--n", lambda a: a.n, ', "100"),
+    _cost_row("verify-base-bits", '"--n * bit length of --base",\n'
+              "     lambda a: a.n * a.base.bit_length(), ", "500"),
+    _cost_row("matrix-char-poly", '"--n with --char-poly", '
+              "lambda a: a.n if a.char_poly else 0,\n     ", "40"),
+    _cost_row("matrix", '"--n", lambda a: a.n, ', "150"),
+    _cost_row("matrix-char-poly-base-bits",
+              '"--n * bit length of --base with --char-poly",\n'
+              "     lambda a: a.n * a.base.bit_length()\n"
+              "     if a.char_poly and a.digits is None else 0, ", "200"),
+    _cost_row("matrix-base-bits", '"--n * bit length of --base",\n'
+              "     lambda a: a.n * a.base.bit_length() "
+              "if a.digits is None else 0, ", "750"),
+    _cost_row("matrix-base",
+              '"--base", lambda a: a.base if a.digits is None else 0, ',
+              "100_000"),
+    _cost_row("matrix-char-poly-digits",
+              '"--digits carry interval width with --char-poly",\n'
+              "     lambda a: _carry_width(a) if a.char_poly else 0, ", "41"),
+    _cost_row("matrix-digits", '"--digits carry interval width", '
+              "_carry_width, ", "151"),
+    _cost_row("matrix-digits-span", '"--n * span of --digits",\n'
+              "     lambda a: a.n * (max(a.digits) - min(a.digits)) "
+              "if a.digits else 0, ", "3200"),
+    _cost_row("find-system-bits", '"bit length of --n + bit length of --p",\n'
+              "     lambda a: a.n.bit_length() + _p_bits(a.p), ", "14000"),
 ]
 
 
