@@ -117,36 +117,32 @@ def chain_stationary(spec: ChainSpec) -> list[Fraction]:
     return pi[::-1] if spec.system.negative else pi
 
 
-def _count_binom(m: int, k: int) -> int:
-    # Counting binomial: zero below the diagonal and for negative tops.
-    return math.comb(m, k) if m >= 0 else 0
-
-
 def transition_matrix(spec: ChainSpec) -> ExactMatrix:
     """m x m transition matrix by closed formula, states ascending s..t.
 
-    Entry (i, j) is the probability of moving from carry s+i to carry s+j;
-    every denominator divides b**n and rows sum to exactly 1.
+    Entry (i, j) is the probability of moving from carry c = s+i to carry
+    c' = s+j, the share of column sums S that make c + S - base*c' a digit.
+    For either sign of the base that is one window count of Holte's matrix,
+    A(k) / b**n at k = base*c' - c + b - 1 - (n-1)d, where
+    A(k) = [z^k] (1 + z + ... + z^(b-1))^(n+1)
+         = sum_r (-1)^r C(n+1, r) C(k - rb + n, n) over r with k - rb >= 0,
+    and 0 for k < 0. With k = b*col + rho, 0 <= rho < b, that is
+    alternating_sums' column col of f[t] = C(n + b*t + rho, n); rho is fixed
+    along a row. Every denominator divides b**n and rows sum to exactly 1.
     """
     from .exactmath import ExactMatrix
 
     sys_, n = spec.system, spec.n
-    b, d = sys_.base_magnitude, sys_.d
-    m = state_space(spec).size
-    bn = b ** n
-    if sys_.negative:
-        # Positive-base formula on mirrored columns, offset cleared mod b+1.
-        e = ((n - 1) * (-d - b)) % (b + 1) - 1
-        cols = [n - j for j in range(m)]
-    else:
-        e = ((n - 1) * (-d)) % (b - 1) or (b - 1)
-        cols = range(m)
-
-    top = max(cols)
-    return ExactMatrix.from_int_rows(
-        [alternating_sums(n, [_count_binom(n + b * t + e - i, n)
-                              for t in range(top + 1)], cols)
-         for i in range(m)], [bn] * m)
+    b, base = sys_.base_magnitude, sys_.base
+    shift = b - 1 - (n - 1) * sys_.d
+    states = state_space(spec).states
+    rows = []
+    for c in states:
+        rho = (shift - c) % b
+        cols = [(base * x + shift - c) // b for x in states]
+        f = [math.comb(n + b * t + rho, n) for t in range(max(cols) + 1)]
+        rows.append(alternating_sums(n, f, cols))
+    return ExactMatrix.from_int_rows(rows, [b ** n] * len(states))
 
 
 def _digit_sum_counts(digit_set: list[int], n: int) -> dict[int, int]:

@@ -37,7 +37,8 @@ def alternating_sums(n: int, f: list[int], cols) -> list[int]:
     """sum_{r=0..j} (-1)^r C(n+1, r) f[j-r] for each j in cols, in ints.
 
     v_closed's sum in integers, behind the eigenvector rows, the stationary
-    vector and the closed-form transition matrix; f needs max(cols)+1 values.
+    vector and the closed-form transition matrix; f needs max(cols)+1 values,
+    and a column j < 0 reads no f and gives 0 (the sum over r is empty).
     C(n+1, r) = 0 for r > n+1, so at most n+2 terms are nonzero.
     """
     signed = [(-1) ** r * comb(n + 1, r) for r in range(min(len(f), n + 2))]

@@ -10,8 +10,8 @@ from carrychain.exactmath import ExactMatrix
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# (golden file, argv): one request per subcommand, plus the sparse digit set
-# and a negative base.
+# (golden file, argv): one request per subcommand, plus the sparse digit set,
+# a negative base, and a negative-base characteristic polynomial with p > 1.
 GOLDEN_CASES = [
     ("triangle.json",
      ["triangle", "--p", "2", "--n-max", "4", "--format", "json"]),
@@ -19,6 +19,9 @@ GOLDEN_CASES = [
      ["matrix", "--base", "3", "--d", "-1", "--n", "2", "--format", "json"]),
     ("matrix_sparse.json",
      ["matrix", "--base", "3", "--digits=-1,0,4", "--n", "2",
+      "--char-poly", "--format", "json"]),
+    ("matrix_negative_char_poly.json",
+     ["matrix", "--base", "4", "--d", "-1", "--n", "3", "--negative",
       "--char-poly", "--format", "json"]),
     ("verify.json",
      ["verify", "--base", "5", "--d", "-1", "--n", "3", "--format", "json"]),

@@ -224,11 +224,20 @@ def test_char_poly_matches_interpolated_determinant(a):
 
 
 def test_char_poly_matches_interpolation_on_carry_chains():
+    # Each closed-form chain's polynomial is also the paper's spectrum
+    # expanded, prod_{k<m} (x - base^-k), for either sign of the base.
     for negative in (False, True):
         for b in range(2, 8):
             for d in range(-(b - 1), 1):
                 for n in range(1, 7):
-                    P = transition_matrix(spec(b, d, n, negative))
-                    assert char_poly(P) == interpolated_char_poly(P), (b, d, n, negative)
+                    s = spec(b, d, n, negative)
+                    P = transition_matrix(s)
+                    got = char_poly(P)
+                    assert got == interpolated_char_poly(P), (b, d, n, negative)
+                    want = ExactPolynomial([1])
+                    for k in range(P.rows):
+                        want = poly_mul(want, ExactPolynomial(
+                            [-Fraction(1, s.system.base ** k), 1]))
+                    assert got == want, (b, d, n, negative)
     _, P = transition_matrix_bruteforce(3, [-1, 0, 4], 2)
     assert char_poly(P) == interpolated_char_poly(P)

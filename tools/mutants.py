@@ -91,12 +91,16 @@ MUTANTS = [
      "cols = range(m)",
      ["tests/test_spectral.py"]),
     ("p-denominators", PKG + "carries.py",
-     "for t in range(top + 1)], cols)\n         for i in range(m)], [bn] * m)",
-     "for t in range(top + 1)], cols)\n         for i in range(m)], [bn * b] * m)",
+     "[b ** n] * len(states)",
+     "[b ** (n + 1)] * len(states)",
      ["tests/test_carries.py"]),
     ("binomial-top", PKG + "carries.py",
-     "_count_binom(n + b * t + e - i, n)",
-     "_count_binom(n + b * t + e - i + 1, n)",
+     "shift = b - 1 - (n - 1) * sys_.d",
+     "shift = b - (n - 1) * sys_.d",
+     [CRITERION + "04_oracle_equivalence", "tests/test_carries.py"]),
+    ("carry-sign", PKG + "carries.py",
+     "cols = [(base * x + shift - c) // b for x in states]",
+     "cols = [(b * x + shift - c) // b for x in states]",
      [CRITERION + "04_oracle_equivalence", "tests/test_carries.py"]),
     # One per output path: the JSON matrix and Fraction branches, the scalar
     # fast path, csv mapping cells and pretty alignment.
@@ -218,7 +222,7 @@ MUTANTS = [
 
 def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "tools"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest)
 
