@@ -127,8 +127,10 @@ def transition_matrix(spec: ChainSpec) -> ExactMatrix:
     A(k) = [z^k] (1 + z + ... + z^(b-1))^(n+1)
          = sum_r (-1)^r C(n+1, r) C(k - rb + n, n) over r with k - rb >= 0,
     and 0 for k < 0. With k = b*col + rho, 0 <= rho < b, that is
-    alternating_sums' column col of f[t] = C(n + b*t + rho, n); rho is fixed
-    along a row. Every denominator divides b**n and rows sum to exactly 1.
+    alternating_sums' column col of f[t] = C(n + b*t + rho, n). rho is fixed
+    along a row and f depends on the row only through rho, so the rows share
+    at most min(b, m) lists f, each as long as the widest row needs. Every
+    denominator divides b**n and rows sum to exactly 1.
     """
     from .exactmath import ExactMatrix
 
@@ -136,12 +138,12 @@ def transition_matrix(spec: ChainSpec) -> ExactMatrix:
     b, base = sys_.base_magnitude, sys_.base
     shift = b - 1 - (n - 1) * sys_.d
     states = state_space(spec).states
-    rows = []
-    for c in states:
-        rho = (shift - c) % b
-        cols = [(base * x + shift - c) // b for x in states]
-        f = [math.comb(n + b * t + rho, n) for t in range(max(cols) + 1)]
-        rows.append(alternating_sums(n, f, cols))
+    cols = [[(base * x + shift - c) // b for x in states] for c in states]
+    width = max(map(max, cols)) + 1
+    f = {rho: [math.comb(n + b * t + rho, n) for t in range(width)]
+         for rho in {(shift - c) % b for c in states}}
+    rows = [alternating_sums(n, f[(shift - c) % b], row)
+            for c, row in zip(states, cols)]
     return ExactMatrix.from_int_rows(rows, [b ** n] * len(states))
 
 

@@ -1,11 +1,18 @@
 """Fixtures the test modules share: chain specs, exact matrices from integer
-tables, the golden CLI requests and an in-process CLI runner."""
+tables, the golden CLI requests, an in-process CLI runner and the check of
+the closed-form transition matrix against the brute-force oracle."""
 
 import pathlib
 from fractions import Fraction
 
 import carrychain.cli as cli
-from carrychain.carries import ChainSpec, NumerationSystem
+from carrychain.carries import (
+    ChainSpec,
+    NumerationSystem,
+    state_space,
+    transition_matrix,
+    transition_matrix_bruteforce,
+)
 from carrychain.exactmath import ExactMatrix
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -50,3 +57,19 @@ def run_cli(argv, capsys):
     """Exit code and stdout of one in-process CLI run."""
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+def oracle_mismatch(spec):
+    """What differs between the closed form and the brute-force oracle for
+    spec (the states or the matrix), what the oracle raised, or None."""
+    system = spec.system
+    try:
+        states, P = transition_matrix_bruteforce(system.base, system.digits,
+                                                 spec.n)
+    except (ValueError, RuntimeError) as exc:
+        return f"oracle raised {exc}"
+    if states != state_space(spec).states:
+        return f"states {states} != {state_space(spec).states}"
+    if P != transition_matrix(spec):
+        return "matrix differs"
+    return None

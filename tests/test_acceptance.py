@@ -24,7 +24,14 @@ from carrychain.exactmath import ExactMatrix, ExactPolynomial, char_poly
 from carrychain.simulate import SimConfig, run_chain
 from carrychain.spectral import chain_stationary, commutes, eigen_matrix
 from carrychain.uniformsum import interval_prob
-from cases import GOLDEN, GOLDEN_CASES, frac_matrix, run_cli, spec
+from cases import (
+    GOLDEN,
+    GOLDEN_CASES,
+    frac_matrix,
+    oracle_mismatch,
+    run_cli,
+    spec,
+)
 from eulerian_identities import array_recurrence_check, row_sums, symmetry_check
 from polynomials import poly_divmod, poly_mul, poly_scale
 
@@ -140,13 +147,9 @@ def test_criterion_04_oracle_equivalence():
         for b in range(2, 17):
             for d in range(-(b - 1), 1):
                 for n in range(1, 11):
-                    s = spec(b, d, n, negative)
-                    states, P = transition_matrix_bruteforce(
-                        s.system.base, s.system.digits, n)
-                    if states != state_space(s).states:
-                        bad.append(("states", b, d, n, negative))
-                    elif P != transition_matrix(s):
-                        bad.append(("matrix", b, d, n, negative))
+                    what = oracle_mismatch(spec(b, d, n, negative))
+                    if what is not None:
+                        bad.append((b, d, n, negative, what))
     verdict(4, "oracle equivalence", not bad, f"failures: {bad}")
 
 

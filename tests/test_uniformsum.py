@@ -110,11 +110,12 @@ def test_interval_probs_on_a_wider_p_grid():
 
 
 def test_float_path_tracks_exact_path():
-    for p in (Fraction(2), Fraction(5, 3)):
-        for k in range(4):
-            exact = float(interval_prob(3, p, k))
-            approx = interval_prob_float(3, float(p), k)
-            assert abs(exact - approx) < 1e-12
+    for p in (Fraction(1), Fraction(2), Fraction(5, 3), Fraction(7, 2)):
+        for n in (1, 3, 6):
+            for k in range(n + 1):
+                approx = interval_prob_float(n, float(p), k)
+                assert type(approx) is float
+                assert abs(approx - float(interval_prob(n, p, k))) < 1e-12
 
 
 rational_x = st.fractions(min_value=Fraction(-1), max_value=Fraction(6),

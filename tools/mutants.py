@@ -4,10 +4,12 @@ Usage: python tools/mutants.py
 
 A mutant is an exact (file, old, new, targets) replacement. ``old`` must occur
 exactly once in the file, so a mutant that no longer matches the code fails
-loudly instead of surviving silently. Each mutant is applied to a temporary
-copy of src/ and tests/, never to the checkout, and its targets run there
-with ``pytest -x``. The targets first run once on an unmutated copy, since a
-target that already fails would count every mutant as killed.
+loudly instead of surviving silently. The cost-row mutants are not listed:
+_cost_rows makes one for each row of cli.COST_LIMITS. Each mutant is applied
+to a temporary copy of src/ and tests/, never to the checkout, and its
+targets run there with ``pytest -x``. The targets first run once on an
+unmutated copy, since a target that already fails would count every mutant
+as killed.
 
 Prints one line per mutant: killed (with the first failing test) or survived.
 A run that gives no result within TIMEOUT_S counts as killed. Exit status:
@@ -18,6 +20,7 @@ Stdlib only; the targets need pytest and hypothesis, as the test suite does.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -44,12 +47,33 @@ GOLDEN = "tests/test_cli.py::test_golden_output"
 JSON_REFERENCE = "tests/test_cli.py::test_json_emitter_matches_reference_on_"
 
 
-def _cost_row(case: str, head: str, limit: str):
-    """The mutant that raises one cli.COST_LIMITS row's limit by one: head is
-    the row's text from its option up to the limit, killed by the row's case
-    of the cost guard test."""
-    return (f"cost-{case}", PKG + "cli.py", f"{head}{limit})",
-            f"{head}{int(limit) + 1})", [f"{GUARD}{case}]"])
+def _elements(text: str, name: str) -> list[ast.expr]:
+    """The elements of the top-level tuple or list assigned to name in text."""
+    (value,) = [node.value for node in ast.parse(text).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name]]
+    return value.elts
+
+
+def _cost_rows() -> list[tuple]:
+    """One mutant per cli.COST_LIMITS row that raises its limit by one: old is
+    the row's source text. The mutant is named after and killed by the row's
+    case of the cost guard test: the case with the row's option whose id is
+    the row's command or starts with it and a hyphen."""
+    tests = (ROOT / "tests" / "test_cli.py").read_text()
+    cases = [(case.value, option.value) for case, option, *_ in
+             (g.elts for g in _elements(tests, "GUARD_CASES"))]
+    cli = (ROOT / PKG / "cli.py").read_text()
+    mutants = []
+    for row in _elements(cli, "COST_LIMITS"):
+        command, option, _, limit = row.elts
+        (case,) = [case for case, opt in cases if opt == option.value
+                   and f"{case}-".startswith(f"{command.value}-")]
+        old = ast.get_source_segment(cli, row)
+        head, _, tail = old.rpartition(ast.get_source_segment(cli, limit))
+        mutants.append((f"cost-{case}", PKG + "cli.py", old,
+                        f"{head}{limit.value + 1}{tail}", [f"{GUARD}{case}]"]))
+    return mutants
 
 
 # (name, file, old, new, target test files or node ids)
@@ -99,8 +123,8 @@ MUTANTS = [
      "shift = b - (n - 1) * sys_.d",
      [CRITERION + "04_oracle_equivalence", "tests/test_carries.py"]),
     ("carry-sign", PKG + "carries.py",
-     "cols = [(base * x + shift - c) // b for x in states]",
-     "cols = [(b * x + shift - c) // b for x in states]",
+     "[(base * x + shift - c) // b for x in states]",
+     "[(b * x + shift - c) // b for x in states]",
      [CRITERION + "04_oracle_equivalence", "tests/test_carries.py"]),
     # One per output path: the JSON matrix and Fraction branches, the scalar
     # fast path, csv mapping cells and pretty alignment.
@@ -180,44 +204,13 @@ MUTANTS = [
      "(a - j * k) ** n",
      "(a - j * k) ** (n - 1)",
      ["tests/test_uniformsum.py"]),
-    # One per cli.COST_LIMITS row, named after its guard test case.
-    _cost_row("triangle", '"--n-max", lambda a: a.n_max, ', "300"),
-    _cost_row("triangle-p-bits", '"--n-max * bit length of --p",\n'
-              "     lambda a: a.n_max * _p_bits(a.p), ", "900"),
-    _cost_row("uniform-sum", '"--n", lambda a: a.n, ', "500"),
-    _cost_row("uniform-sum-p-bits", '"--n * bit length of --p", '
-              "lambda a: a.n * _p_bits(a.p),\n     ", "2000"),
-    _cost_row("simulate", '"--steps", lambda a: a.steps, ', "2_000_000"),
-    _cost_row("simulate-n", '"--n", lambda a: a.n, ', "200"),
-    _cost_row("simulate-n-times-base",
-              '"--n * --base", lambda a: a.n * a.base, ', "3200"),
-    _cost_row("verify", '"--n", lambda a: a.n, ', "100"),
-    _cost_row("verify-base-bits", '"--n * bit length of --base",\n'
-              "     lambda a: a.n * a.base.bit_length(), ", "500"),
-    _cost_row("matrix-char-poly", '"--n with --char-poly", '
-              "lambda a: a.n if a.char_poly else 0,\n     ", "40"),
-    _cost_row("matrix", '"--n", lambda a: a.n, ', "150"),
-    _cost_row("matrix-char-poly-base-bits",
-              '"--n * bit length of --base with --char-poly",\n'
-              "     lambda a: a.n * a.base.bit_length()\n"
-              "     if a.char_poly and a.digits is None else 0, ", "200"),
-    _cost_row("matrix-base-bits", '"--n * bit length of --base",\n'
-              "     lambda a: a.n * a.base.bit_length() "
-              "if a.digits is None else 0, ", "750"),
-    _cost_row("matrix-base",
-              '"--base", lambda a: a.base if a.digits is None else 0, ',
-              "100_000"),
-    _cost_row("matrix-char-poly-digits",
-              '"--digits carry interval width with --char-poly",\n'
-              "     lambda a: _carry_width(a) if a.char_poly else 0, ", "41"),
-    _cost_row("matrix-digits", '"--digits carry interval width", '
-              "_carry_width, ", "151"),
-    _cost_row("matrix-digits-span", '"--n * span of --digits",\n'
-              "     lambda a: a.n * (max(a.digits) - min(a.digits)) "
-              "if a.digits else 0, ", "3200"),
-    _cost_row("find-system-bits", '"bit length of --n + bit length of --p",\n'
-              "     lambda a: a.n.bit_length() + _p_bits(a.p), ", "14000"),
+    ("float-interval-lower-end", PKG + "uniformsum.py",
+     "- _cdf(n, 1 / p + k - 1)",
+     "- _cdf(n, 1 / p + k - 2)",
+     ["tests/test_uniformsum.py::test_float_path_tracks_exact_path"]),
 ]
+# One per cli.COST_LIMITS row, named after its guard test case.
+MUTANTS += _cost_rows()
 
 
 def _copy(dest: Path) -> None:

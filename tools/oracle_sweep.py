@@ -6,10 +6,13 @@ Compares carries.transition_matrix and state_space with the definition-level
 carries.transition_matrix_bruteforce on every system with base magnitude
 2-24, every least digit d, 1-30 summands and both base signs: 17,940 systems,
 far past the 2,700 of acceptance criterion 4. Each pair must agree exactly:
-the same states and the same matrix.
+the same states and the same matrix. The check is tests/cases.py's
+oracle_mismatch, the one criterion 4 and the hypothesis test in
+tests/test_carries.py call.
 
 Prints one summary line. On any mismatch it also lists the first ones and
-exits 1; otherwise it exits 0. Stdlib only; runs on the checkout's src/.
+exits 1; otherwise it exits 0. Stdlib only; runs on the checkout's src/ and
+tests/.
 """
 
 from __future__ import annotations
@@ -18,34 +21,14 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from carrychain.carries import (  # noqa: E402
-    ChainSpec,
-    NumerationSystem,
-    state_space,
-    transition_matrix,
-    transition_matrix_bruteforce,
-)
+from cases import oracle_mismatch, spec  # noqa: E402
 
 BASES = range(2, 25)
 SUMMANDS = range(1, 31)
 SHOWN = 10
-
-
-def _mismatch(spec: ChainSpec) -> str | None:
-    """What differs between the two routes for spec, or None."""
-    system = spec.system
-    try:
-        states, P = transition_matrix_bruteforce(system.base, system.digits,
-                                                 spec.n)
-    except (ValueError, RuntimeError) as exc:
-        return f"oracle raised {exc}"
-    if states != state_space(spec).states:
-        return f"states {states} != {state_space(spec).states}"
-    if P != transition_matrix(spec):
-        return "matrix differs"
-    return None
 
 
 def main() -> int:
@@ -55,10 +38,10 @@ def main() -> int:
         for b in BASES:
             for d in range(-(b - 1), 1):
                 for n in SUMMANDS:
-                    spec = ChainSpec(NumerationSystem(b, d, negative), n)
+                    s = spec(b, d, n, negative)
                     total += 1
-                    if (what := _mismatch(spec)) is not None:
-                        bad.append((spec.system.base, d, n, what))
+                    if (what := oracle_mismatch(s)) is not None:
+                        bad.append((s.system.base, d, n, what))
     print(f"{total} systems (|b| {BASES.start}-{BASES.stop - 1}, every d, "
           f"n {SUMMANDS.start}-{SUMMANDS.stop - 1}, both signs): {len(bad)} "
           f"mismatches in {time.perf_counter() - start:.1f} s")
