@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("carries", "ChainSpec NumerationSystem StateSpace chain_stationary "
-                    "find_system p_param state_space transition_matrix "
+        ("carries", "ChainSpec chain_stationary find_system p_param "
+                    "state_space transition_matrix "
                     "transition_matrix_bruteforce"),
         ("eulerian", "stationary triangle_recurrence v_closed"),
         ("exactmath", "ExactMatrix ExactPolynomial char_poly determinant"),

@@ -1,10 +1,11 @@
-"""Carry chains: numeration systems, state spaces, the triangle parameter p, and
-exact transition matrices.
+"""Carry chains: the chain record, its state space, the triangle parameter p,
+and exact transition matrices.
 
-A numeration system has base magnitude ``b >= 2``, a sign, and a least digit
-``d`` with ``d <= 0 <= d + b - 1``, giving the digit set {d, ..., d + b - 1}.
-Every residue class mod b has exactly one representative in the digit set, so
-the digit a column emits is forced.
+A chain (ChainSpec) is fixed by a base magnitude ``b >= 2``, a sign, a least
+digit ``d`` with ``d <= 0 <= d + b - 1``, giving the digit set
+{d, ..., d + b - 1}, and a summand count ``n >= 1``. Every residue class mod b
+has exactly one representative in the digit set, so the digit a column emits
+is forced.
 
 The chain tracks the carry produced while adding n numbers column by column.
 From carry c, with column digits x_1..x_n drawn uniformly from the digit set,
@@ -30,18 +31,21 @@ from .eulerian import alternating_sums, stationary
 # Record types here and in spectral and simulate are namedtuple subclasses
 # with the checks in __new__: unlike dataclasses they cost next to nothing to
 # define, which every CLI start-up pays for.
-class NumerationSystem(
-        namedtuple("NumerationSystem", "base_magnitude d negative")):
+class ChainSpec(namedtuple("ChainSpec", "base_magnitude d n negative")):
+    """The n-summand carry chain in base +-b with digits {d, ..., d+b-1}."""
     __slots__ = ()
 
-    def __new__(cls, base_magnitude: int, d: int, negative: bool = False):
+    def __new__(cls, base_magnitude: int, d: int, n: int,
+                negative: bool = False):
         b = base_magnitude
         if b < 2:
             raise ValueError(f"base magnitude must be >= 2, got {b}")
         if not (d <= 0 <= d + b - 1):
             raise ValueError(
                 f"digit set {{{d}, ..., {d + b - 1}}} must contain 0")
-        return super().__new__(cls, base_magnitude, d, negative)
+        if n < 1:
+            raise ValueError(f"need at least one summand, got n={n}")
+        return super().__new__(cls, base_magnitude, d, n, negative)
 
     @property
     def base(self) -> int:
@@ -65,33 +69,11 @@ class NumerationSystem(
         return Fraction(d, b - 1)
 
 
-class StateSpace(namedtuple("StateSpace", "s t")):
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        return self.t - self.s + 1
-
-    @property
-    def states(self) -> list[int]:
-        return list(range(self.s, self.t + 1))
-
-
-class ChainSpec(namedtuple("ChainSpec", "system n")):
-    __slots__ = ()
-
-    def __new__(cls, system: NumerationSystem, n: int):
-        if n < 1:
-            raise ValueError(f"need at least one summand, got n={n}")
-        return super().__new__(cls, system, n)
-
-
-def state_space(spec: ChainSpec) -> StateSpace:
-    """Carry range {s, ..., t} of the n-summand chain."""
-    l = spec.system.centroid_offset
+def state_space(spec: ChainSpec) -> range:
+    """Carry range s..t of the n-summand chain, as range(s, t + 1)."""
+    l = spec.centroid_offset
     n = spec.n
-    return StateSpace(s=math.floor((n - 1) * l),
-                      t=math.ceil((n - 1) * (l + 1)))
+    return range(math.floor((n - 1) * l), math.ceil((n - 1) * (l + 1)) + 1)
 
 
 def p_param(spec: ChainSpec) -> Fraction:
@@ -100,8 +82,8 @@ def p_param(spec: ChainSpec) -> Fraction:
     Reciprocal of the fractional part of (n-1)(-l) for positive base and of
     (n-1)l for negative base; 1 when that quantity is an integer.
     """
-    l = spec.system.centroid_offset
-    x = (spec.n - 1) * (l if spec.system.negative else -l)
+    l = spec.centroid_offset
+    x = (spec.n - 1) * (l if spec.negative else -l)
     if x.denominator == 1:
         return Fraction(1)
     return 1 / (x - math.floor(x))
@@ -114,7 +96,7 @@ def chain_stationary(spec: ChainSpec) -> list[Fraction]:
     base the same vector reversed, mirroring the state order.
     """
     pi = stationary(spec.n, p_param(spec))
-    return pi[::-1] if spec.system.negative else pi
+    return pi[::-1] if spec.negative else pi
 
 
 def transition_matrix(spec: ChainSpec) -> ExactMatrix:
@@ -134,10 +116,9 @@ def transition_matrix(spec: ChainSpec) -> ExactMatrix:
     """
     from .exactmath import ExactMatrix
 
-    sys_, n = spec.system, spec.n
-    b, base = sys_.base_magnitude, sys_.base
-    shift = b - 1 - (n - 1) * sys_.d
-    states = state_space(spec).states
+    n, b, base = spec.n, spec.base_magnitude, spec.base
+    shift = b - 1 - (n - 1) * spec.d
+    states = state_space(spec)
     cols = [[(base * x + shift - c) // b for x in states] for c in states]
     width = max(map(max, cols)) + 1
     f = {rho: [math.comb(n + b * t + rho, n) for t in range(width)]
@@ -238,8 +219,8 @@ def transition_matrix_bruteforce(
         [len(digit_set) ** n] * len(ordered))
 
 
-def find_system(n: int, p: Fraction) -> NumerationSystem:
-    """A positive-base system whose n-summand chain has parameter p.
+def find_system(n: int, p: Fraction) -> ChainSpec:
+    """A positive-base n-summand chain with parameter p.
 
     For p = K/L in lowest terms (K >= L >= 1) takes b = (n-1)K + 1, d = -L.
     """
@@ -249,9 +230,9 @@ def find_system(n: int, p: Fraction) -> NumerationSystem:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     k, l = p.numerator, p.denominator
-    sys_ = NumerationSystem(base_magnitude=(n - 1) * k + 1, d=-l)
-    got = p_param(ChainSpec(sys_, n))
+    spec = ChainSpec(base_magnitude=(n - 1) * k + 1, d=-l, n=n)
+    got = p_param(spec)
     if got != p:
         raise RuntimeError(
             f"constructed system has p={got}, expected {p} (internal error)")
-    return sys_
+    return spec

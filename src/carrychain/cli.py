@@ -249,10 +249,9 @@ def _document(args, payload: dict) -> dict:
 
 
 def _spec(args):
-    from .carries import ChainSpec, NumerationSystem
+    from .carries import ChainSpec
 
-    return ChainSpec(NumerationSystem(base_magnitude=args.base, d=args.d,
-                                      negative=args.negative), args.n)
+    return ChainSpec(args.base, args.d, args.n, args.negative)
 
 
 def cmd_triangle(args) -> tuple[dict, int]:
@@ -289,10 +288,10 @@ def cmd_matrix(args) -> tuple[dict, int]:
         if args.d is None:
             raise ValueError("--d is required unless --digits is given")
         spec = _spec(args)
-        states = carries.state_space(spec).states
+        states = list(carries.state_space(spec))
         P = carries.transition_matrix(spec)
         p = carries.p_param(spec)
-        digits = spec.system.digits
+        digits = spec.digits
     payload = {
         "base": signed_base,
         "digits": digits,
@@ -314,7 +313,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     spec = _spec(args)
     report = spectral.verify_diagonalization(spec)
     payload = {
-        "base": spec.system.base,
+        "base": spec.base,
         "d": args.d,
         "n": args.n,
         "states": report.states,
@@ -336,13 +335,12 @@ def cmd_verify(args) -> tuple[dict, int]:
 def cmd_find_system(args) -> tuple[dict, int]:
     from . import carries
 
-    sys_ = carries.find_system(args.n, args.p)
-    spec = carries.ChainSpec(sys_, args.n)
+    spec = carries.find_system(args.n, args.p)
     payload = {
         "n": args.n,
         "p": args.p,
-        "base": sys_.base,
-        "d": sys_.d,
+        "base": spec.base,
+        "d": spec.d,
         "verified_p": carries.p_param(spec),
     }
     return payload, EXIT_OK
@@ -358,7 +356,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     exact = chain_stationary(spec)
     result = run_chain(cfg, exact=exact)
     payload = {
-        "base": spec.system.base,
+        "base": spec.base,
         "d": args.d,
         "n": args.n,
         "steps": args.steps,

@@ -76,16 +76,15 @@ def run_chain(cfg: SimConfig, exact: list[Fraction]) -> SimResult:
     compares the occupancy with ``exact``, the ascending-state stationary law.
     """
     spec = cfg.spec
-    sys_ = spec.system
-    size, draw = digit_sum_draw(sys_.digits, spec.n)
-    base = sys_.base
-    space = state_space(spec)
+    size, draw = digit_sum_draw(spec.digits, spec.n)
+    base = spec.base
+    states = state_space(spec)
     # The chain from 0 never leaves the proven carry range; doing so is a bug.
-    lo, hi = space.s, space.t
+    lo, hi = states[0], states[-1]
 
     randrange = random.Random(cfg.seed).randrange
     # The output digit is the one congruent to total mod b.
-    d, b = sys_.d, sys_.base_magnitude
+    d, b = spec.d, spec.base_magnitude
     burn_in = cfg.burn_in
     c = 0
     counts: dict[int, int] = {}
@@ -101,8 +100,8 @@ def run_chain(cfg: SimConfig, exact: list[Fraction]) -> SimResult:
 
     samples = cfg.steps - cfg.burn_in
     empirical = {state: counts.get(state, 0) / samples
-                 for state in space.states}
-    dist = tv_distance([empirical[s] for s in space.states],
+                 for state in states}
+    dist = tv_distance([empirical[s] for s in states],
                        [float(x) for x in exact])
     return SimResult(config=cfg, counts=dict(sorted(counts.items())),
                      empirical=empirical, tv_distance=dist)

@@ -84,12 +84,12 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
     otherwise the exact determinant decides. Every other check compares
     two matrices, so each failure counts what differs (_compare).
     """
-    space = state_space(spec)
-    m = space.size
+    states = state_space(spec)
+    m = len(states)
     p = p_param(spec)
     P = transition_matrix(spec)
-    V = eigen_matrix(spec.n, p, m, reverse=spec.system.negative)
-    spectrum = chain_spectrum(spec.system.base, m)
+    V = eigen_matrix(spec.n, p, m, reverse=spec.negative)
+    spectrum = chain_spectrum(spec.base, m)
     pi = chain_stationary(spec)
 
     ones = ExactMatrix([[1]] * m)
@@ -112,7 +112,7 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
     verdicts["stationary_normalized"] = _compare(pi_row @ ones,
                                                  ExactMatrix([[1]]))
 
-    return ChainReport(spec=spec, states=space.states, p=p, P=P, V=V,
+    return ChainReport(spec=spec, states=list(states), p=p, P=P, V=V,
                        spectrum=spectrum, pi=pi, verdicts=verdicts)
 
 

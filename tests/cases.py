@@ -1,14 +1,15 @@
 """Fixtures the test modules share: chain specs, exact matrices from integer
-tables, the golden CLI requests, an in-process CLI runner and the check of
-the closed-form transition matrix against the brute-force oracle."""
+tables, the golden CLI requests, an in-process CLI runner, the check of the
+closed-form transition matrix against the brute-force oracle, and a carry
+chain enumerated from every digit tuple."""
 
+import itertools
 import pathlib
 from fractions import Fraction
 
 import carrychain.cli as cli
 from carrychain.carries import (
     ChainSpec,
-    NumerationSystem,
     state_space,
     transition_matrix,
     transition_matrix_bruteforce,
@@ -46,7 +47,7 @@ GOLDEN_CASES = [
 
 
 def spec(b, d, n, negative=False):
-    return ChainSpec(NumerationSystem(b, d, negative=negative), n)
+    return ChainSpec(b, d, n, negative)
 
 
 def frac_matrix(rows, denom):
@@ -62,14 +63,38 @@ def run_cli(argv, capsys):
 def oracle_mismatch(spec):
     """What differs between the closed form and the brute-force oracle for
     spec (the states or the matrix), what the oracle raised, or None."""
-    system = spec.system
     try:
-        states, P = transition_matrix_bruteforce(system.base, system.digits,
+        states, P = transition_matrix_bruteforce(spec.base, spec.digits,
                                                  spec.n)
     except (ValueError, RuntimeError) as exc:
         return f"oracle raised {exc}"
-    if states != state_space(spec).states:
-        return f"states {states} != {state_space(spec).states}"
+    if states != list(state_space(spec)):
+        return f"states {states} != {list(state_space(spec))}"
     if P != transition_matrix(spec):
         return "matrix differs"
     return None
+
+
+def enumerate_carry_chain(base, summand_digits, output_digits, n):
+    """States reachable from carry 0 and the transition counts between them.
+
+    Definition-level: every n-tuple of summand digits is listed; the output
+    digit is the one member of output_digits congruent to carry + column sum.
+    Row i of the counts is out of len(summand_digits)**n.
+    """
+    emit = {a % base: a for a in output_digits}
+    sums = [sum(t) for t in itertools.product(summand_digits, repeat=n)]
+
+    def step(c, total):
+        return (c + total - emit[(c + total) % base]) // base
+
+    states, frontier = {0}, {0}
+    while frontier:
+        frontier = {step(c, t) for c in frontier for t in sums} - states
+        states |= frontier
+    states = sorted(states)
+    rows = [[0] * len(states) for _ in states]
+    for i, c in enumerate(states):
+        for t in sums:
+            rows[i][states.index(step(c, t))] += 1
+    return states, rows

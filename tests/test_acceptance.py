@@ -2,12 +2,11 @@
 
 Each criterion is checked in full before its verdict line is printed, so a
 failure still reports exactly which sub-check broke. Criterion 5 checks the
-sparse digit set {-1, 0, 4} in base 3 (7 carry states) against an enumerator
-of its own, and shows that a reference 10x10 for that example is the chain
-with output digits {-1, 0, 10} instead.
+sparse digit set {-1, 0, 4} in base 3 (7 carry states) against
+tests/cases.py's enumerator of every digit tuple, and shows that a reference
+10x10 for that example is the chain with output digits {-1, 0, 10} instead.
 """
 
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -27,6 +26,7 @@ from carrychain.uniformsum import interval_prob
 from cases import (
     GOLDEN,
     GOLDEN_CASES,
+    enumerate_carry_chain,
     frac_matrix,
     oracle_mismatch,
     run_cli,
@@ -119,7 +119,7 @@ def test_criterion_02_matrix_reproduction():
         ones = ExactMatrix([[1]] * P.rows)
         if P @ ones != ones:
             bad.append(("row sums", b, d, n))
-        m = state_space(s).size
+        m = len(state_space(s))
         if eigen_matrix(n, p_param(s), m) != ExactMatrix(vrows):
             bad.append(("V", b, d, n))
     verdict(2, "matrix reproduction", not bad, f"mismatches: {bad}")
@@ -151,31 +151,6 @@ def test_criterion_04_oracle_equivalence():
                     if what is not None:
                         bad.append((b, d, n, negative, what))
     verdict(4, "oracle equivalence", not bad, f"failures: {bad}")
-
-
-def _enumerate_carry_chain(base, summand_digits, output_digits, n):
-    """States reachable from carry 0 and the transition counts between them.
-
-    Definition-level: every n-tuple of summand digits is listed; the output
-    digit is the one member of output_digits congruent to carry + column sum.
-    Row i of the counts is out of len(summand_digits)**n.
-    """
-    emit = {a % base: a for a in output_digits}
-    sums = [sum(t) for t in itertools.product(summand_digits, repeat=n)]
-
-    def step(c, total):
-        return (c + total - emit[(c + total) % base]) // base
-
-    states, frontier = {0}, {0}
-    while frontier:
-        frontier = {step(c, t) for c in frontier for t in sums} - states
-        states |= frontier
-    states = sorted(states)
-    rows = [[0] * len(states) for _ in states]
-    for i, c in enumerate(states):
-        for t in sums:
-            rows[i][states.index(step(c, t))] += 1
-    return states, rows
 
 
 def test_criterion_05_sparse_digit_reference_example():
@@ -217,7 +192,7 @@ def test_criterion_05_sparse_digit_reference_example():
     reference_septic = [2, 24, -297, -1944, 5103, -19683, 0, 531441]
 
     problems = []
-    states, rows = _enumerate_carry_chain(3, digits, digits, 2)
+    states, rows = enumerate_carry_chain(3, digits, digits, 2)
     if states != true_states:
         problems.append(f"enumerated states are {states}, not -2..4")
     elif rows != true_rows:
@@ -231,7 +206,7 @@ def test_criterion_05_sparse_digit_reference_example():
     elif (poly := char_poly(P)) != true_char_poly:
         problems.append(f"char poly is {poly}, not the factored form")
 
-    states, rows = _enumerate_carry_chain(3, digits, [-1, 0, 10], 2)
+    states, rows = enumerate_carry_chain(3, digits, [-1, 0, 10], 2)
     if states != list(range(-5, 5)):
         problems.append(f"{{-1, 0, 10}} chain states are {states}, not -5..4")
     elif rows != reference_rows:

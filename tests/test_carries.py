@@ -1,7 +1,8 @@
-"""Tests for numeration systems, carry-chain state spaces, parameters, and
-transition matrices."""
+"""Tests for carry-chain records, state spaces, parameters, and transition
+matrices."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from carrychain.carries import (
     ChainSpec,
-    NumerationSystem,
     _digit_sum_counts,
     carry_interval,
     find_system,
@@ -21,51 +21,53 @@ from carrychain.carries import (
     transition_matrix_bruteforce,
 )
 from carrychain.exactmath import ExactMatrix
-from cases import frac_matrix, oracle_mismatch, spec
+from cases import enumerate_carry_chain, frac_matrix, oracle_mismatch, spec
 
 
 def test_digit_set_and_signed_base():
-    sys_ = NumerationSystem(base_magnitude=3, d=-1)
-    assert sys_.digits == [-1, 0, 1]
-    assert sys_.base == 3
-    neg = NumerationSystem(base_magnitude=3, d=-1, negative=True)
+    chain = ChainSpec(base_magnitude=3, d=-1, n=2)
+    assert chain.digits == [-1, 0, 1]
+    assert chain.base == 3
+    neg = ChainSpec(base_magnitude=3, d=-1, n=2, negative=True)
     assert neg.base == -3
 
 
 def test_invalid_systems_rejected():
     with pytest.raises(ValueError):
-        NumerationSystem(base_magnitude=1, d=0)
+        ChainSpec(base_magnitude=1, d=0, n=2)
     with pytest.raises(ValueError):
-        NumerationSystem(base_magnitude=3, d=1)    # 0 not a digit
+        ChainSpec(base_magnitude=3, d=1, n=2)    # 0 not a digit
     with pytest.raises(ValueError):
-        NumerationSystem(base_magnitude=3, d=-3)
+        ChainSpec(base_magnitude=3, d=-3, n=2)
+    with pytest.raises(ValueError):
+        ChainSpec(base_magnitude=3, d=-1, n=0)   # no summand
 
 
 def test_centroid_offset():
-    assert NumerationSystem(3, -1).centroid_offset == Fraction(-1, 2)
-    assert NumerationSystem(10, 0).centroid_offset == 0
-    assert NumerationSystem(3, -1, negative=True).centroid_offset == Fraction(-1, 2)
-    assert NumerationSystem(6, -3).centroid_offset == Fraction(-3, 5)
+    assert spec(3, -1, 2).centroid_offset == Fraction(-1, 2)
+    assert spec(10, 0, 2).centroid_offset == 0
+    assert spec(3, -1, 2, negative=True).centroid_offset == Fraction(-1, 2)
+    assert spec(6, -3, 2).centroid_offset == Fraction(-3, 5)
 
 
 def test_state_space_examples():
-    assert state_space(spec(3, -1, 2)).states == [-1, 0, 1]
-    assert state_space(spec(10, 0, 4)).states == [0, 1, 2, 3]
-    assert state_space(spec(3, -1, 2, negative=True)).states == [-1, 0, 1]
+    assert state_space(spec(3, -1, 2)) == range(-1, 2)
+    assert state_space(spec(10, 0, 4)) == range(0, 4)
+    assert state_space(spec(3, -1, 2, negative=True)) == range(-1, 2)
 
 
 def test_state_space_size_rule():
     # n+1 states when (n-1)l is fractional, n states when integral.
-    assert state_space(spec(3, -1, 2)).size == 3        # l = -1/2
-    assert state_space(spec(3, -1, 3)).size == 3        # (n-1)l = -1
-    assert state_space(spec(10, 0, 7)).size == 7        # l = 0
+    assert len(state_space(spec(3, -1, 2))) == 3        # l = -1/2
+    assert len(state_space(spec(3, -1, 3))) == 3        # (n-1)l = -1
+    assert len(state_space(spec(10, 0, 7))) == 7        # l = 0
     # So (n, p) fixes the size: n states exactly when p = 1.
     for b in range(2, 9):
         for d in range(-(b - 1), 1):
             for n in range(1, 6):
                 for neg in (False, True):
                     s = spec(b, d, n, negative=neg)
-                    assert state_space(s).size == n + (p_param(s) != 1)
+                    assert len(state_space(s)) == n + (p_param(s) != 1)
 
 
 def test_p_param_examples():
@@ -109,6 +111,23 @@ def test_bruteforce_matches_formula_random_systems(data):
     n = data.draw(st.integers(1, 12), label="n")
     negative = data.draw(st.booleans(), label="negative")
     assert oracle_mismatch(spec(b, d, n, negative)) is None
+
+
+def test_bruteforce_matches_enumeration_on_random_complete_digit_sets():
+    # The oracle against the definition, every digit tuple listed, on digit
+    # sets with one digit per residue mod b drawn from -15..15, 0 included.
+    rng = random.Random(1306)
+    for _ in range(400):
+        b = rng.randint(2, 5)
+        digits = [0] + [rng.choice([x for x in range(-15, 16) if x % b == r])
+                        for r in range(1, b)]
+        rng.shuffle(digits)
+        base = rng.choice((b, -b))
+        n = rng.randint(1, 4)
+        states, P = transition_matrix_bruteforce(base, digits, n)
+        want_states, rows = enumerate_carry_chain(base, digits, digits, n)
+        assert states == want_states, (base, digits, n)
+        assert P == frac_matrix(rows, b ** n), (base, digits, n)
 
 
 def test_digit_sum_counts_match_enumeration():
@@ -179,19 +198,16 @@ def test_bruteforce_input_validation():
 
 
 def test_find_system_examples():
-    sys_ = find_system(3, Fraction(5, 3))
-    assert (sys_.base, sys_.d) == (11, -3)
-    sys_ = find_system(2, 2)
-    assert (sys_.base, sys_.d) == (3, -1)
-    sys_ = find_system(4, 2)
-    assert (sys_.base, sys_.d) == (7, -1)
+    assert find_system(3, Fraction(5, 3)) == ChainSpec(11, -3, 3)
+    assert find_system(2, 2) == ChainSpec(3, -1, 2)
+    assert find_system(4, 2) == ChainSpec(7, -1, 4)
 
 
 def test_find_system_realizes_p():
     for n in (2, 3, 5):
         for p in (Fraction(1), Fraction(2), Fraction(7, 4), Fraction(9, 5)):
-            sys_ = find_system(n, p)
-            assert p_param(ChainSpec(sys_, n)) == p
+            chain = find_system(n, p)
+            assert chain.n == n and p_param(chain) == p
 
 
 def test_find_system_rejects_degenerate_inputs():
@@ -207,3 +223,27 @@ def test_matrix_depends_only_on_shift_class():
     b = transition_matrix(spec(3, 0, 3))
     assert p_param(spec(3, -1, 3)) == p_param(spec(3, 0, 3)) == 1
     assert a == b
+
+
+def test_product_rule_for_offset_and_negative_bases():
+    # Holte (1997) proves P(b1) P(b2) = P(b1 b2) for the standard digits
+    # {0, ..., b-1} and positive bases. This extends it to offset digits and
+    # negative bases: the pair (x1, x2) of digits is the one digit
+    # x1 + base1 x2 of base base1 base2, and those digits run over
+    # {D, ..., D + b1 b2 - 1}, D their least. The source paper's abstract
+    # claims no such rule, so this is an extension, checked wherever the
+    # three chains share one state space.
+    checked = 0
+    signs = (False, True)
+    for b1, b2, neg1, neg2, n in itertools.product(
+            range(2, 6), range(2, 6), signs, signs, range(1, 6)):
+        for d1, d2 in itertools.product(range(1 - b1, 1), range(1 - b2, 1)):
+            s1, s2 = spec(b1, d1, n, neg1), spec(b2, d2, n, neg2)
+            least = min(x1 + s1.base * x2
+                        for x1 in s1.digits for x2 in s2.digits)
+            s = spec(b1 * b2, least, n, neg1 != neg2)
+            if state_space(s1) == state_space(s2) == state_space(s):
+                assert (transition_matrix(s1) @ transition_matrix(s2)
+                        == transition_matrix(s)), (s1, s2)
+                checked += 1
+    assert checked == 1572

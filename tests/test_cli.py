@@ -20,7 +20,7 @@ import carrychain.carries
 import carrychain.cli as cli
 import carrychain.simulate
 import carrychain.spectral
-from carrychain.carries import StateSpace, transition_matrix
+from carrychain.carries import transition_matrix
 from carrychain.exactmath import ExactMatrix
 from cases import GOLDEN, GOLDEN_CASES, run_cli, spec
 from eulerian_identities import row_sums
@@ -210,7 +210,7 @@ def test_internal_error_exits_three(monkeypatch, capsys):
         (carrychain.carries, "carry_interval", lambda base, digits, n: (0, 0),
          ["matrix", "--base", "3", "--digits=-1,0,4", "--n", "2"],
          "carry outside the proven interval [0, 0] (internal error)"),
-        (carrychain.simulate, "state_space", lambda spec: StateSpace(0, 0),
+        (carrychain.simulate, "state_space", lambda spec: range(0, 1),
          ["simulate", "--base", "3", "--d", "-1", "--n", "2",
           "--steps", "2000", "--seed", "1"],
          "carry -1 left the state space [0, 0] at step 11"),

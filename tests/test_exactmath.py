@@ -237,7 +237,7 @@ def test_char_poly_matches_interpolation_on_carry_chains():
                     want = ExactPolynomial([1])
                     for k in range(P.rows):
                         want = poly_mul(want, ExactPolynomial(
-                            [-Fraction(1, s.system.base ** k), 1]))
+                            [-Fraction(1, s.base ** k), 1]))
                     assert got == want, (b, d, n, negative)
     _, P = transition_matrix_bruteforce(3, [-1, 0, 4], 2)
     assert char_poly(P) == interpolated_char_poly(P)

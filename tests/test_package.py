@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import carrychain
-from carrychain.carries import ChainSpec, NumerationSystem, StateSpace
+from carrychain.carries import ChainSpec
 from carrychain.exactmath import ExactMatrix
 from carrychain.simulate import SimConfig, SimResult
 from carrychain.spectral import ChainReport, CheckResult
@@ -20,13 +20,12 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 def test_export_list_resolves():
     assert carrychain.__all__ == [
         "ChainReport", "ChainSpec", "ExactMatrix", "ExactPolynomial",
-        "NumerationSystem", "SimConfig", "SimResult", "StateSpace",
-        "chain_spectrum", "chain_stationary", "char_poly", "commutes",
-        "determinant", "eigen_matrix", "find_system", "interval_prob",
-        "irwin_hall_cdf", "p_param", "run_chain", "state_space", "stationary",
-        "transition_matrix", "transition_matrix_bruteforce",
-        "triangle_recurrence", "tv_distance", "v_closed",
-        "verify_diagonalization",
+        "SimConfig", "SimResult", "chain_spectrum", "chain_stationary",
+        "char_poly", "commutes", "determinant", "eigen_matrix", "find_system",
+        "interval_prob", "irwin_hall_cdf", "p_param", "run_chain",
+        "state_space", "stationary", "transition_matrix",
+        "transition_matrix_bruteforce", "triangle_recurrence", "tv_distance",
+        "v_closed", "verify_diagonalization",
     ]
     # Before the star import below loads them, dir() lists the lazy names too.
     assert set(carrychain.__all__) <= set(dir(carrychain))
@@ -91,8 +90,7 @@ def test_chain_stationary_keeps_its_old_addresses():
 
 
 def _records():
-    system = NumerationSystem(base_magnitude=5, d=-1)
-    spec = ChainSpec(system=system, n=3)
+    spec = ChainSpec(base_magnitude=5, d=-1, n=3)
     config = SimConfig(spec=spec, steps=2000, seed=7)
     report = ChainReport(spec=spec, states=[0, 1], p=Fraction(3, 2),
                          P=ExactMatrix([[1, 0], [0, 1]]), V=ExactMatrix([[1]]),
@@ -101,37 +99,33 @@ def _records():
     result = SimResult(config=config, counts={0: 3}, empirical={0: 0.5},
                        tv_distance=0.25)
     return [
-        (system, NumerationSystem(5, -1, False),
-         "NumerationSystem(base_magnitude=5, d=-1, negative=False)"),
-        (spec, ChainSpec(NumerationSystem(5, -1), 3),
-         "ChainSpec(system=NumerationSystem(base_magnitude=5, d=-1, "
-         "negative=False), n=3)"),
-        (StateSpace(s=-1, t=2), StateSpace(-1, 2), "StateSpace(s=-1, t=2)"),
+        (spec, ChainSpec(5, -1, 3, False),
+         "ChainSpec(base_magnitude=5, d=-1, n=3, negative=False)"),
         (CheckResult(passed=True), CheckResult(True, ""),
          "CheckResult(passed=True, detail='')"),
         (config, SimConfig(spec, 2000, 7, 1000),
-         "SimConfig(spec=ChainSpec(system=NumerationSystem(base_magnitude=5, "
-         "d=-1, negative=False), n=3), steps=2000, seed=7, burn_in=1000)"),
+         "SimConfig(spec=ChainSpec(base_magnitude=5, d=-1, n=3, "
+         "negative=False), steps=2000, seed=7, burn_in=1000)"),
         (report, ChainReport(spec, [0, 1], Fraction(3, 2),
                              ExactMatrix([[1, 0], [0, 1]]), ExactMatrix([[1]]),
                              [Fraction(1)], [Fraction(1, 2)], {}),
-         "ChainReport(spec=ChainSpec(system=NumerationSystem(base_magnitude=5, "
-         "d=-1, negative=False), n=3), states=[0, 1], p=Fraction(3, 2), "
+         "ChainReport(spec=ChainSpec(base_magnitude=5, d=-1, n=3, "
+         "negative=False), states=[0, 1], p=Fraction(3, 2), "
          "P=ExactMatrix([[Fraction(1, 1), Fraction(0, 1)], [Fraction(0, 1), "
          "Fraction(1, 1)]]), V=ExactMatrix([[Fraction(1, 1)]]), "
          "spectrum=[Fraction(1, 1)], pi=[Fraction(1, 2)], verdicts={})"),
         (result, SimResult(config, {0: 3}, {0: 0.5}, 0.25,
                            "mt19937-digit-sum-bisect"),
-         "SimResult(config=SimConfig(spec=ChainSpec(system=NumerationSystem("
-         "base_magnitude=5, d=-1, negative=False), n=3), steps=2000, seed=7, "
-         "burn_in=1000), counts={0: 3}, empirical={0: 0.5}, tv_distance=0.25, "
+         "SimResult(config=SimConfig(spec=ChainSpec(base_magnitude=5, d=-1, "
+         "n=3, negative=False), steps=2000, seed=7, burn_in=1000), "
+         "counts={0: 3}, empirical={0: 0.5}, tv_distance=0.25, "
          "generator='mt19937-digit-sum-bisect')"),
     ]
 
 
 def test_record_types_keep_value_semantics():
     records = _records()
-    assert len({type(r) for r, _, _ in records}) == 7
+    assert len({type(r) for r, _, _ in records}) == 5
     for record, same, text in records:
         assert record == same and not record != same
         assert repr(record) == text
@@ -145,9 +139,9 @@ def test_record_types_keep_value_semantics():
                 hash(record)
         else:
             assert hash(record) == hash(same)
-    system, spec, space, check, config, report, result = (r for r, _, _ in records)
-    assert system.negative is False and system.base == 5
-    assert spec != ChainSpec(system, 4) and space.states == [-1, 0, 1, 2]
+    spec, check, config, report, result = (r for r, _, _ in records)
+    assert spec.negative is False and spec.base == 5
+    assert spec != ChainSpec(5, -1, 4) and spec.digits == [-1, 0, 1, 2, 3]
     assert check.detail == "" and config.burn_in == 1000
     assert report.verdicts == {} and report.verified
     assert result.generator == "mt19937-digit-sum-bisect"
@@ -155,14 +149,14 @@ def test_record_types_keep_value_semantics():
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: NumerationSystem(1, 0), "base magnitude must be >= 2, got 1"),
-    (lambda: NumerationSystem(3, 1), "digit set {1, ..., 3} must contain 0"),
-    (lambda: NumerationSystem(3, -3), "digit set {-3, ..., -1} must contain 0"),
-    (lambda: ChainSpec(NumerationSystem(3, -1), 0),
-     "need at least one summand, got n=0"),
-    (lambda: SimConfig(ChainSpec(NumerationSystem(3, -1), 2), 10, 1, burn_in=-1),
+    # n = 0 in the first two: ChainSpec checks b, then the digits, then n.
+    (lambda: ChainSpec(1, 0, 0), "base magnitude must be >= 2, got 1"),
+    (lambda: ChainSpec(3, 1, 0), "digit set {1, ..., 3} must contain 0"),
+    (lambda: ChainSpec(3, -3, 2), "digit set {-3, ..., -1} must contain 0"),
+    (lambda: ChainSpec(3, -1, 0), "need at least one summand, got n=0"),
+    (lambda: SimConfig(ChainSpec(3, -1, 2), 10, 1, burn_in=-1),
      "burn_in must be >= 0, got -1"),
-    (lambda: SimConfig(ChainSpec(NumerationSystem(3, -1), 2), 10, 1, burn_in=10),
+    (lambda: SimConfig(ChainSpec(3, -1, 2), 10, 1, burn_in=10),
      "steps (10) must exceed burn_in (10)"),
 ])
 def test_record_types_validate_with_the_same_messages(build, message):

@@ -40,7 +40,7 @@ def test_config_validation():
 def test_visited_carries_stay_in_state_space():
     s = spec(3, -1, 2)
     result = run_chain(SimConfig(s, steps=20_000, seed=11), chain_stationary(s))
-    assert set(result.counts) <= set(state_space(s).states)
+    assert set(result.counts) <= set(state_space(s))
     assert sum(result.counts.values()) == result.samples == 19_000
 
 
@@ -86,7 +86,7 @@ def test_negative_base_simulation_converges():
     s = spec(3, -1, 2, negative=True)
     exact = chain_stationary(s)
     result = run_chain(SimConfig(s, steps=200_000, seed=7), exact=exact)
-    assert set(result.counts) <= set(state_space(s).states)
+    assert set(result.counts) <= set(state_space(s))
     assert result.tv_distance < 0.01
 
 

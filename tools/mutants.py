@@ -119,8 +119,8 @@ MUTANTS = [
      "[b ** (n + 1)] * len(states)",
      ["tests/test_carries.py"]),
     ("binomial-top", PKG + "carries.py",
-     "shift = b - 1 - (n - 1) * sys_.d",
-     "shift = b - (n - 1) * sys_.d",
+     "shift = b - 1 - (n - 1) * spec.d",
+     "shift = b - (n - 1) * spec.d",
      [CRITERION + "04_oracle_equivalence", "tests/test_carries.py"]),
     ("carry-sign", PKG + "carries.py",
      "[(base * x + shift - c) // b for x in states]",
@@ -173,6 +173,11 @@ MUTANTS = [
     ("zero-digit-check", PKG + "carries.py",
      "if not (d <= 0 <= d + b - 1):",
      "if not (d <= 0):",
+     ["tests/test_carries.py::test_invalid_systems_rejected"]),
+    # ChainSpec's n check; the oracle's own n check is indented less.
+    ("chain-n-check", PKG + "carries.py",
+     "        if n < 1:\n",
+     "        if n < 0:\n",
      ["tests/test_carries.py::test_invalid_systems_rejected"]),
     ("lazy-dir", PKG + "__init__.py",
      "return sorted({*globals(), *__all__})",

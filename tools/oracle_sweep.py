@@ -41,7 +41,7 @@ def main() -> int:
                     s = spec(b, d, n, negative)
                     total += 1
                     if (what := oracle_mismatch(s)) is not None:
-                        bad.append((s.system.base, d, n, what))
+                        bad.append((s.base, d, n, what))
     print(f"{total} systems (|b| {BASES.start}-{BASES.stop - 1}, every d, "
           f"n {SUMMANDS.start}-{SUMMANDS.stop - 1}, both signs): {len(bad)} "
           f"mismatches in {time.perf_counter() - start:.1f} s")
