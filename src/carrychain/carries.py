@@ -47,6 +47,11 @@ class ChainSpec(namedtuple("ChainSpec", "base_magnitude d n negative")):
             raise ValueError(f"need at least one summand, got n={n}")
         return super().__new__(cls, base_magnitude, d, n, negative)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
+
     @property
     def base(self) -> int:
         """Signed base."""

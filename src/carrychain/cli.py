@@ -14,9 +14,12 @@ import gc
 import sys
 from fractions import Fraction
 
-# Every carrychain module is imported inside the commands that use it, so a
-# request loads (and compiles) only its own. The emitters know a matrix by its
-# ratios() method, so they do not need exactmath either.
+# Every other carrychain module is imported where a request first needs it,
+# so a request loads (and compiles) only its own: the handlers
+# (carrychain.commands) once the cost limits pass, the csv and pretty writers
+# (carrychain.tables) for those formats, and each library module inside the
+# handlers that use it. The JSON writer knows a matrix by its ratios() method,
+# so it does not need exactmath either.
 
 SCHEMA_VERSION = "1"
 
@@ -42,8 +45,9 @@ def _carry_width(args) -> int:
     return high - low
 
 
-# Cost limits (command, option, value of the args, limit), checked by main in
-# this order before any work, and before any import but the carry interval's.
+# Cost limits (command, option, value of the args, limit), checked by
+# check_cost in this order before any work, and before any import but the
+# carry interval's.
 # Entries grow with the bits of b^n and p^n, at most n times the bit length of
 # b or of p's larger part, so "n * bits" rows bound what the --n rows alone
 # let a huge base or p through. Under these rows every integer a command
@@ -173,218 +177,27 @@ def render(doc: dict, fmt: str, stream) -> None:
     if fmt == "json":
         _emit_json(doc, "", stream.write)
         stream.write("\n")
-    elif fmt == "csv":
-        _emit_csv(_fields(doc["payload"]), stream)
     else:
-        _emit_pretty(doc["command"], _fields(doc["payload"]), stream)
+        from . import tables
 
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "pass" if value else "FAIL"
-    return str(value)
-
-
-def _fields(payload: dict):
-    """Yield (key, kind, cells) per payload field: kind "table" with rows of
-    text cells, "mapping" with (name, text) pairs, or "line" with text cells."""
-    for key, value in payload.items():
-        if hasattr(value, "ratios"):
-            from .exactmath import ratio_text
-
-            yield key, "table", [[ratio_text(num, den) for num, den in row]
-                                 for row in value.ratios()]
-        elif isinstance(value, list) and value and isinstance(value[0], list):
-            yield key, "table", [[_cell(x) for x in row] for row in value]
-        elif isinstance(value, list):
-            yield key, "line", [_cell(x) for x in value]
-        elif isinstance(value, dict):
-            yield key, "mapping", [(k, _cell(v)) for k, v in value.items()]
+        fields = tables._fields(doc["payload"])
+        if fmt == "csv":
+            tables._emit_csv(fields, stream)
         else:
-            yield key, "line", [_cell(value)]
-
-
-def _emit_csv(fields, stream) -> None:
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    for key, kind, cells in fields:
-        if kind == "table":
-            writer.writerows([[key], *cells])
-        elif kind == "mapping":
-            writer.writerow([key, *[f"{k}={v}" for k, v in cells]])
-        else:
-            writer.writerow([key, *cells])
-
-
-def _emit_pretty(command: str, fields, stream) -> None:
-    stream.write(f"{command}\n")
-    for key, kind, cells in fields:
-        if kind == "table":
-            stream.write(f"{key}:\n")
-            widths = [max(len(row[j]) for row in cells if j < len(row))
-                      for j in range(max(len(r) for r in cells))]
-            for row in cells:
-                stream.write("  " + "  ".join(
-                    cell.rjust(widths[j]) for j, cell in enumerate(row)) + "\n")
-        elif kind == "mapping":
-            stream.write(f"{key}:\n")
-            for k, v in cells:
-                stream.write(f"  {k}: {v}\n")
-        else:
-            stream.write(f"{key}: " + " ".join(cells) + "\n")
+            tables._emit_pretty(doc["command"], fields, stream)
 
 
 def _document(args, payload: dict) -> dict:
     """The output document; inputs echo the parsed options in argparse order."""
     inputs = {key: str(value) if isinstance(value, Fraction) else value
               for key, value in vars(args).items()
-              if key not in ("command", "func", "format", "char_poly")}
+              if key not in ("command", "format", "char_poly")}
     return {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "inputs": inputs,
         "payload": payload,
     }
-
-
-def _spec(args):
-    from .carries import ChainSpec
-
-    return ChainSpec(args.base, args.d, args.n, args.negative)
-
-
-def cmd_triangle(args) -> tuple[dict, int]:
-    from . import eulerian
-
-    rows = eulerian.triangle_recurrence(args.n_max, args.p)
-    # Row n lies over L^n (p = K/L): sum its numerators over that one scale.
-    scales = [args.p.denominator ** n for n in range(len(rows))]
-    payload = {
-        "p": args.p,
-        "n_max": args.n_max,
-        "rows": rows,
-        "row_sums": [Fraction(sum(x.numerator * (s // x.denominator)
-                                  for x in row), s)
-                     for row, s in zip(rows, scales)],
-    }
-    return payload, EXIT_OK
-
-
-def cmd_matrix(args) -> tuple[dict, int]:
-    from . import carries
-
-    signed_base = -args.base if args.negative else args.base
-    if args.digits is not None:
-        if args.base < 2:
-            raise ValueError(f"base magnitude must be >= 2, got {args.base}")
-        if args.d is not None:
-            raise ValueError("--d and --digits cannot be combined")
-        states, P = carries.transition_matrix_bruteforce(
-            signed_base, args.digits, args.n)
-        p = None
-        digits = sorted(args.digits)
-    else:
-        if args.d is None:
-            raise ValueError("--d is required unless --digits is given")
-        spec = _spec(args)
-        states = list(carries.state_space(spec))
-        P = carries.transition_matrix(spec)
-        p = carries.p_param(spec)
-        digits = spec.digits
-    payload = {
-        "base": signed_base,
-        "digits": digits,
-        "n": args.n,
-        "states": states,
-        "p": p,
-        "matrix": P,
-    }
-    if args.char_poly:
-        from .exactmath import char_poly
-
-        payload["char_poly_ascending"] = char_poly(P).coefficients
-    return payload, EXIT_OK
-
-
-def cmd_verify(args) -> tuple[dict, int]:
-    from . import spectral
-
-    spec = _spec(args)
-    report = spectral.verify_diagonalization(spec)
-    payload = {
-        "base": spec.base,
-        "d": args.d,
-        "n": args.n,
-        "states": report.states,
-        "p": report.p,
-        "spectrum": report.spectrum,
-        "stationary": report.pi,
-        "matrix": report.P,
-        "eigen_matrix": report.V,
-        "verdicts": {name: res.passed
-                     for name, res in report.verdicts.items()},
-        "diffs": {name: res.detail
-                  for name, res in report.verdicts.items() if not res.passed},
-        "verified": report.verified,
-    }
-    code = EXIT_OK if report.verified else EXIT_VERIFICATION_FAILED
-    return payload, code
-
-
-def cmd_find_system(args) -> tuple[dict, int]:
-    from . import carries
-
-    spec = carries.find_system(args.n, args.p)
-    payload = {
-        "n": args.n,
-        "p": args.p,
-        "base": spec.base,
-        "d": spec.d,
-        "verified_p": carries.p_param(spec),
-    }
-    return payload, EXIT_OK
-
-
-def cmd_simulate(args) -> tuple[dict, int]:
-    from .carries import chain_stationary
-    from .simulate import SimConfig, run_chain
-
-    spec = _spec(args)
-    cfg = SimConfig(spec=spec, steps=args.steps, seed=args.seed,
-                    burn_in=args.burn_in)
-    exact = chain_stationary(spec)
-    result = run_chain(cfg, exact=exact)
-    payload = {
-        "base": spec.base,
-        "d": args.d,
-        "n": args.n,
-        "steps": args.steps,
-        "seed": args.seed,
-        "burn_in": args.burn_in,
-        "generator": result.generator,
-        "counts": result.counts,
-        "empirical": {k: repr(v) for k, v in result.empirical.items()},
-        "exact_stationary": exact,
-        "tv_distance": repr(result.tv_distance),
-    }
-    return payload, EXIT_OK
-
-
-def cmd_uniform_sum(args) -> tuple[dict, int]:
-    from . import eulerian, uniformsum
-
-    probs = uniformsum.interval_probs(args.n, args.p)
-    row = eulerian.stationary(args.n, args.p, args.n + 1)
-    payload = {
-        "n": args.n,
-        "p": args.p,
-        "interval_probs": probs,
-        "scaled_eulerian_row": row,
-        "match": probs == row,
-    }
-    code = EXIT_OK if probs == row else EXIT_VERIFICATION_FAILED
-    return payload, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="generalized Eulerian triangle rows")
     p.add_argument("--p", type=parse_rational, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("matrix", help="exact transition matrix")
     add_system(p, need_d=False)
@@ -416,30 +228,25 @@ def build_parser() -> argparse.ArgumentParser:
                         "path; spectral predictions do not apply)")
     p.add_argument("--char-poly", action="store_true",
                    help="include the characteristic polynomial")
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("verify", help="exact diagonalization checks")
     add_system(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find-system",
                        help="positive-base system realizing a given p")
     p.add_argument("--p", type=parse_rational, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_find_system)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo run")
     add_system(p)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=1000)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("uniform-sum",
                        help="interval probabilities of sums of uniforms")
     p.add_argument("--p", type=parse_rational, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_uniform_sum)
 
     # Added last so it stays the last option in every usage line.
     for p in sub.choices.values():
@@ -448,15 +255,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_cost(args) -> None:
+    """Raise ValueError at the first COST_LIMITS row of args.command that
+    args exceed."""
+    for command, option, value, limit in COST_LIMITS:
+        if command == args.command and (got := value(args)) > limit:
+            raise ValueError(f"{option} must be <= {limit} (cost limit), "
+                             f"got {got}")
+
+
+def dispatch(args) -> tuple[dict, int]:
+    """(payload, exit code) of the carrychain.commands handler named after
+    args.command; call it only once check_cost has passed."""
+    from . import commands
+
+    handler = getattr(commands, "cmd_" + args.command.replace("-", "_"))
+    payload, passed = handler(args)
+    return payload, EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        for command, option, value, limit in COST_LIMITS:
-            if command == args.command and (got := value(args)) > limit:
-                raise ValueError(f"{option} must be <= {limit} (cost limit), "
-                                 f"got {got}")
-        payload, code = args.func(args)
+        check_cost(args)
+        payload, code = dispatch(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,6 +32,11 @@ class SimConfig(namedtuple("SimConfig", "spec steps seed burn_in")):
             raise ValueError(f"steps ({steps}) must exceed burn_in ({burn_in})")
         return super().__new__(cls, spec, steps, seed, burn_in)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
+
 
 class SimResult(namedtuple("SimResult",
                            "config counts empirical tv_distance generator",

@@ -20,6 +20,7 @@ import carrychain.carries
 import carrychain.cli as cli
 import carrychain.simulate
 import carrychain.spectral
+import carrychain.tables as tables
 from carrychain.carries import transition_matrix
 from carrychain.exactmath import ExactMatrix
 from cases import GOLDEN, GOLDEN_CASES, run_cli, spec
@@ -81,9 +82,9 @@ def reference_text(doc, fmt: str) -> str:
     out = io.StringIO()
     fields = _reference_fields(doc["payload"])
     if fmt == "csv":
-        cli._emit_csv(fields, out)
+        tables._emit_csv(fields, out)
     else:
-        cli._emit_pretty(doc["command"], fields, out)
+        tables._emit_pretty(doc["command"], fields, out)
     return out.getvalue()
 
 
@@ -173,8 +174,9 @@ def test_python_m_keeps_output_and_exit_codes():
 
 
 def test_coldstart_probe_keeps_step_with_main(monkeypatch, capsys):
-    # tools/coldstart.py repeats main()'s steps phase by phase; one spawn each
-    # of an accepted and a refused request shows that it still does.
+    # tools/coldstart.py times main()'s own steps, cli.check_cost and
+    # cli.dispatch, phase by phase; one spawn each of an accepted and a
+    # refused request shows that it still runs them as main() does.
     path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "coldstart.py"
     loader = importlib.util.spec_from_file_location("coldstart", path)
     coldstart = importlib.util.module_from_spec(loader)
@@ -251,7 +253,7 @@ def test_render_errors_exit_three(fmt, error, monkeypatch, capsys):
         return patched
 
     monkeypatch.setattr(cli, "_scalar", fail_third(cli._scalar))
-    monkeypatch.setattr(cli, "_cell", fail_third(cli._cell))
+    monkeypatch.setattr(tables, "_cell", fail_third(tables._cell))
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert err == "internal error: emitter broke\n"
@@ -595,7 +597,7 @@ def test_uniform_sum_reports_match(capsys):
 def _documents(argv):
     """The document main renders for argv."""
     args = cli.build_parser().parse_args(argv)
-    return cli._document(args, args.func(args)[0])
+    return cli._document(args, cli.dispatch(args)[0])
 
 
 def _json_render_argvs():

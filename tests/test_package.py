@@ -34,12 +34,14 @@ def test_export_list_resolves():
     assert set(carrychain.__all__) <= namespace.keys()
 
 
-def _imported(*args: str) -> set[str]:
-    """Modules a fresh interpreter imports running args, read off -X importtime."""
+def _imported(*args: str, code: int = 0) -> set[str]:
+    """Modules a fresh interpreter imports running args, which must exit with
+    code, read off -X importtime."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr[-500:]
     return {line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines()
             if line.startswith("import time:") and line.count("|") == 2}
@@ -52,34 +54,47 @@ def test_cli_imports_only_what_a_command_needs():
     def package(modules):
         return {m for m in modules if m.startswith("carrychain.")}
 
+    def request(*argv, code=0):
+        # Under -m the cli module runs as __main__: a request that also
+        # imports carrychain.cli would run cli.py twice.
+        modules = _imported("-m", "carrychain.cli", *argv, code=code) - bare
+        assert "carrychain.cli" not in modules, argv
+        return modules
+
+    front = "carrychain.commands"  # the handlers every accepted request runs
     cli = _imported("-c", "import carrychain.cli") - bare
     assert package(cli) == {"carrychain.cli"}
     assert not cli & {"dataclasses", "inspect", "json", "random", "typing"}
-    # Under -m the cli module runs as __main__, so it is not in these sets.
-    triangle = _imported("-m", "carrychain.cli", "triangle", "--p", "5/3",
-                         "--n-max", "3") - bare
-    assert package(triangle) == {"carrychain.eulerian"}
-    uniform = _imported("-m", "carrychain.cli", "uniform-sum", "--p", "5/3",
-                        "--n", "3") - bare
-    assert package(uniform) == {"carrychain.eulerian", "carrychain.uniformsum"}
-    find = _imported("-m", "carrychain.cli", "find-system", "--p", "5/3",
-                     "--n", "4") - bare
-    assert package(find) == {"carrychain.carries", "carrychain.eulerian"}
-    digits = _imported("-m", "carrychain.cli", "matrix", "--base", "3",
-                       "--digits=-1,0,4", "--n", "2") - bare
-    assert "carrychain.carries" in digits
+    triangle = request("triangle", "--p", "5/3", "--n-max", "3")
+    assert package(triangle) == {front, "carrychain.eulerian"}
+    uniform = request("uniform-sum", "--p", "5/3", "--n", "3")
+    assert package(uniform) == {front, "carrychain.eulerian",
+                                "carrychain.uniformsum"}
+    find = request("find-system", "--p", "5/3", "--n", "4")
+    assert package(find) == {front, "carrychain.carries",
+                             "carrychain.eulerian"}
+    digits = request("matrix", "--base", "3", "--digits=-1,0,4", "--n", "2")
+    assert {front, "carrychain.carries"} <= digits
     assert not digits & {"carrychain.spectral", "carrychain.simulate",
-                         "carrychain.uniformsum"}
-    simulate = _imported("-m", "carrychain.cli", "simulate", "--base", "3",
-                         "--d", "-1", "--n", "2", "--steps", "2000",
-                         "--seed", "1") - bare
-    assert "carrychain.simulate" in simulate
-    assert not simulate & {"carrychain.spectral", "carrychain.exactmath"}
-    verify = _imported("-m", "carrychain.cli", "verify", "--base", "3",
-                       "--d", "-1", "--n", "2") - bare
-    assert "carrychain.spectral" in verify
+                         "carrychain.uniformsum", "carrychain.tables"}
+    simulate = request("simulate", "--base", "3", "--d", "-1", "--n", "2",
+                       "--steps", "2000", "--seed", "1")
+    assert {front, "carrychain.simulate"} <= simulate
+    assert not simulate & {"carrychain.spectral", "carrychain.exactmath",
+                           "carrychain.tables"}
+    verify = request("verify", "--base", "3", "--d", "-1", "--n", "2")
+    assert {front, "carrychain.spectral"} <= verify
     assert not verify & {"dataclasses", "inspect", "json", "typing",
-                         "carrychain.simulate"}
+                         "carrychain.simulate", "carrychain.tables"}
+    # Only the csv and pretty writers load carrychain.tables.
+    for fmt in ("csv", "pretty"):
+        text = request("triangle", "--p", "5/3", "--n-max", "3",
+                       "--format", fmt)
+        assert package(text) == {front, "carrychain.eulerian",
+                                 "carrychain.tables"}, fmt
+    # A request the cost limits refuse runs no handler.
+    refused = request("triangle", "--p", "5/3", "--n-max", "301", code=2)
+    assert not package(refused)
 
 
 def test_chain_stationary_keeps_its_old_addresses():
@@ -158,6 +173,18 @@ def test_record_types_keep_value_semantics():
      "burn_in must be >= 0, got -1"),
     (lambda: SimConfig(ChainSpec(3, -1, 2), 10, 1, burn_in=10),
      "steps (10) must exceed burn_in (10)"),
+    # _make, and _replace through it, build through __new__ as well.
+    pytest.param(lambda: ChainSpec._make((1, 5, 0, False)),
+                 "base magnitude must be >= 2, got 1", id="chain-make"),
+    pytest.param(lambda: ChainSpec(3, -1, 2)._replace(d=1),
+                 "digit set {1, ..., 3} must contain 0", id="chain-replace-d"),
+    pytest.param(lambda: ChainSpec(3, -1, 2)._replace(n=0),
+                 "need at least one summand, got n=0", id="chain-replace-n"),
+    pytest.param(lambda: SimConfig._make((ChainSpec(3, -1, 2), 10, 1, -1)),
+                 "burn_in must be >= 0, got -1", id="config-make"),
+    pytest.param(lambda: SimConfig(ChainSpec(3, -1, 2), 2000, 1)._replace(
+        steps=5), "steps (5) must exceed burn_in (1000)",
+        id="config-replace-steps"),
 ])
 def test_record_types_validate_with_the_same_messages(build, message):
     with pytest.raises(ValueError) as exc:

@@ -13,11 +13,14 @@ import compile from source. Prints the median over the spawns, in ms, of:
   import          import carrychain.cli
   parser          build_parser() and parse_args(ARGV)
   run 1, run 2    the command, twice in one process; run 1's excess over
-                  run 2 is mostly its lazy imports and their compilation
-  render          the document rendered to an in-memory stream
+                  run 2 is mostly its lazy imports and their compilation,
+                  carrychain.commands among them
+  render          the document rendered to an in-memory stream (csv and
+                  pretty include the import of carrychain.tables)
 
-The probe checks cli.COST_LIMITS as main() does, so a refused ARGV runs no
-command. Exit status 0, or 2 when a spawn fails (its stderr is shown).
+The probe runs main()'s own steps, cli.check_cost and then cli.dispatch, so a
+refused ARGV runs no command. Exit status 0, or 2 when a spawn fails (its
+stderr is shown).
 Stdlib only. CI takes no timings from it; tests/test_cli.py runs it with one
 spawn, so that the probe keeps step with cli.main().
 """
@@ -41,13 +44,14 @@ import carrychain.cli as cli
 t1 = perf_counter()
 args = cli.build_parser().parse_args(sys.argv[1:])
 t2 = perf_counter()
-for command, option, value, limit in cli.COST_LIMITS:
-    if command == args.command and (got := value(args)) > limit:
-        sys.exit(f"error: {option} must be <= {limit} (cost limit), got {got}")
+try:
+    cli.check_cost(args)
+except ValueError as exc:
+    sys.exit(f"error: {exc}")
 t3 = perf_counter()
-payload, _ = args.func(args)
+payload, _ = cli.dispatch(args)
 t4 = perf_counter()
-args.func(args)
+cli.dispatch(args)
 t5 = perf_counter()
 cli.render(cli._document(args, payload), args.format, io.StringIO())
 t6 = perf_counter()

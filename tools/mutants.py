@@ -141,11 +141,11 @@ MUTANTS = [
      "and",
      ["tests/test_cli.py::test_scalar_fast_path_matches_json_dumps",
       JSON_REFERENCE + "synthetic_docs"]),
-    ("csv-mapping-separator", PKG + "cli.py",
+    ("csv-mapping-separator", PKG + "tables.py",
      'writer.writerow([key, *[f"{k}={v}" for k, v in cells]])',
      'writer.writerow([key, *[f"{k}:{v}" for k, v in cells]])',
      [GOLDEN]),
-    ("pretty-right-align", PKG + "cli.py",
+    ("pretty-right-align", PKG + "tables.py",
      "cell.rjust(widths[j])",
      "cell.ljust(widths[j])",
      [GOLDEN, "tests/test_cli.py::test_csv_and_pretty_reduce_matrix_entries"]),
@@ -179,6 +179,11 @@ MUTANTS = [
      "        if n < 1:\n",
      "        if n < 0:\n",
      ["tests/test_carries.py::test_invalid_systems_rejected"]),
+    # ChainSpec._make, and _replace through it, must validate as __new__ does.
+    ("record-make-validates", PKG + "carries.py",
+     "return cls(*iterable)",
+     "return super()._make(iterable)",
+     ["tests/test_package.py::test_record_types_validate_with_the_same_messages"]),
     ("lazy-dir", PKG + "__init__.py",
      "return sorted({*globals(), *__all__})",
      "return sorted(globals())",
