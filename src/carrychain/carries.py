@@ -134,7 +134,7 @@ def transition_matrix(spec: ChainSpec) -> ExactMatrix:
 
 
 def _digit_sum_counts(digit_set: list[int], n: int) -> dict[int, int]:
-    """Counts of each value of x_1 + ... + x_n, by repeated convolution."""
+    """Counts of each sum x_1 + ... + x_n in ascending order, by convolution."""
     counts = {0: 1}
     for _ in range(n):
         nxt: dict[int, int] = {}
@@ -142,7 +142,7 @@ def _digit_sum_counts(digit_set: list[int], n: int) -> dict[int, int]:
             for x in digit_set:
                 nxt[total + x] = nxt.get(total + x, 0) + c
         counts = nxt
-    return counts
+    return dict(sorted(counts.items()))
 
 
 def carry_interval(base: int, digit_set: list[int], n: int) -> tuple[int, int]:
@@ -186,7 +186,7 @@ def transition_matrix_bruteforce(
         raise ValueError("digit set must contain 0")
     b = abs(base)
     residue = {}
-    for a in digit_set:
+    for a in sorted(digit_set):
         if a % b in residue:
             raise ValueError(
                 f"digits {residue[a % b]} and {a} collide mod {b}")
@@ -207,7 +207,8 @@ def transition_matrix_bruteforce(
     moves: dict[int, dict[int, int]] = {}  # carry -> {next carry: weight}
     frontier = [0]
     while frontier:
-        # Least carry first, so the residue an incomplete set raises is stable.
+        # Least carry first, then least sum: the residue an incomplete set
+        # raises does not depend on the order of its digits.
         for c in frontier:
             out = moves[c] = {}
             for total, w in counts.items():

@@ -60,12 +60,12 @@ def digit_sum_draw(digits: list[int], n: int):
     is the digit sum S = x_1 + ... + x_n with probability exactly
     count(S) / |D|^n.
 
-    The sums are sorted and cum holds their cumulative counts, so the u with
+    The sums ascend and cum holds their cumulative counts, so the u with
     cum[i-1] <= u < cum[i] are count(sums[i]) integers; bisect_right finds i.
     """
-    counts = sorted(_digit_sum_counts(digits, n).items())
-    sums = [s for s, _ in counts]
-    cum = list(accumulate(c for _, c in counts))
+    counts = _digit_sum_counts(digits, n)
+    sums = list(counts)
+    cum = list(accumulate(counts.values()))
 
     def draw(u: int) -> int:
         return sums[bisect_right(cum, u)]

@@ -1,7 +1,8 @@
 """Fixtures the test modules share: chain specs, exact matrices from integer
-tables, the golden CLI requests, an in-process CLI runner, the check of the
-closed-form transition matrix against the brute-force oracle, and a carry
-chain enumerated from every digit tuple."""
+tables, the golden CLI requests, an in-process CLI runner, the two checks
+that Tier-1 and tools/oracle_sweep.py run over their own grids (the
+closed-form transition matrix against the brute-force oracle, and the exact
+diagonalization), and a carry chain enumerated from every digit tuple."""
 
 import itertools
 import pathlib
@@ -15,6 +16,7 @@ from carrychain.carries import (
     transition_matrix_bruteforce,
 )
 from carrychain.exactmath import ExactMatrix
+from carrychain.spectral import verify_diagonalization
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -73,6 +75,12 @@ def oracle_mismatch(spec):
     if P != transition_matrix(spec):
         return "matrix differs"
     return None
+
+
+def diagonalization_failures(spec):
+    """Names of the verify_diagonalization verdicts that fail for spec."""
+    report = verify_diagonalization(spec)
+    return [name for name, v in report.verdicts.items() if not v.passed]
 
 
 def enumerate_carry_chain(base, summand_digits, output_digits, n):

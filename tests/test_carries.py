@@ -177,24 +177,29 @@ def test_carry_interval_holds_every_state():
 def test_bruteforce_input_validation():
     with pytest.raises(ValueError):
         transition_matrix_bruteforce(3, [1, 2, 3], 2)      # missing 0
-    with pytest.raises(ValueError):
-        transition_matrix_bruteforce(3, [0, 1, 4], 2)      # residue collision
+    for digits in ([0, 1, 4], [4, 1, 0]):                # residue collision
+        with pytest.raises(ValueError, match="^digits 1 and 4 collide mod 3$"):
+            transition_matrix_bruteforce(3, digits, 2)
     with pytest.raises(ValueError):
         transition_matrix_bruteforce(1, [0], 2)
     for n in (0, -3):
         with pytest.raises(ValueError, match="need at least one summand"):
             transition_matrix_bruteforce(2, [0, 1], n)
     # An incomplete set reports the first missing residue the closure meets,
-    # each frontier least carry first; each of these is met at a carry != 0.
-    # In set order the last two would raise 2 and 1.
+    # each frontier least carry first and each carry's digit sums least
+    # first, so the digits' order does not matter. All but the base-5 case
+    # are met at a carry != 0; there, sums in the order the digits 1, 0
+    # produce them would meet residue 3 first.
     for base, digits, n, r in ((4, [-6, 0], 2, 1), (4, [-6, 0], 3, 3),
                                (4, [0, 6], 2, 3), (6, [0, 4, 26], 2, 3),
                                (-6, [0, 2, 4], 6, 3), (-6, [0, 9], 2, 5),
-                               (6, [0, 9], 5, 5)):
-        with pytest.raises(ValueError) as exc:
-            transition_matrix_bruteforce(base, digits, n)
-        assert str(exc.value) == (f"no digit with residue {r} mod {abs(base)}; "
-                                  "digit set is incomplete")
+                               (6, [0, 9], 5, 5), (5, [0, 1], 3, 2)):
+        for ordered in (digits, digits[::-1]):
+            with pytest.raises(ValueError) as exc:
+                transition_matrix_bruteforce(base, ordered, n)
+            assert str(exc.value) == (
+                f"no digit with residue {r} mod {abs(base)}; "
+                "digit set is incomplete"), ordered
 
 
 def test_find_system_examples():

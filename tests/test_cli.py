@@ -3,7 +3,6 @@
 import contextlib
 import gc
 import importlib
-import importlib.util
 import io
 import json
 import os
@@ -152,16 +151,12 @@ def test_verify_corrupted_matrix_exits_one(monkeypatch, capsys):
         assert " entries in " in detail, name
 
 
-def child_pythonpath() -> str:
-    """PYTHONPATH that gives a child the carrychain package these tests import."""
-    root = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    return os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-
-
 def python_m(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on the carrychain package these tests import."""
+    root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": child_pythonpath()})
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_python_m_keeps_output_and_exit_codes():
@@ -171,34 +166,6 @@ def test_python_m_keeps_output_and_exit_codes():
     proc = python_m("-m", "carrychain.cli", "find-system", "--p", "1/2", "--n", "3")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "error: p must be >= 1, got 1/2\n")
-
-
-def test_coldstart_probe_keeps_step_with_main(monkeypatch, capsys):
-    # tools/coldstart.py times main()'s own steps, cli.check_cost and
-    # cli.dispatch, phase by phase; one spawn each of an accepted and a
-    # refused request shows that it still runs them as main() does.
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "coldstart.py"
-    loader = importlib.util.spec_from_file_location("coldstart", path)
-    coldstart = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(coldstart)
-    monkeypatch.setenv("PYTHONPATH", child_pythonpath())
-    monkeypatch.setattr(coldstart, "SPAWNS", 1)
-    argv = dict(GOLDEN_CASES)["verify.json"]
-    monkeypatch.setattr(sys, "argv", ["coldstart.py", *argv])
-    assert coldstart.main() == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert [line[2:17].rstrip() for line in out.splitlines()[1:]] == [
-        "python -c pass", "spawn", "import", "parser", "run 1", "run 2",
-        "render"]
-    refused = "verify --base 16 --d -3 --n 101".split()
-    monkeypatch.setattr(sys, "argv", ["coldstart.py", *refused])
-    with pytest.raises(SystemExit) as exit_:
-        coldstart.main()
-    assert exit_.value.code == 2
-    tool_err = capsys.readouterr().err
-    assert cli.main(refused) == 2
-    assert tool_err.endswith(":\n" + capsys.readouterr().err)
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

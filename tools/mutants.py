@@ -86,6 +86,15 @@ MUTANTS = [
      "frontier = sorted({x for c in frontier for x in moves[c]}",
      "frontier = list({x for c in frontier for x in moves[c]}",
      ["tests/test_carries.py"]),
+    # The oracle's messages must not depend on the order of the digits.
+    ("digit-sum-order", PKG + "carries.py",
+     "return dict(sorted(counts.items()))",
+     "return counts",
+     ["tests/test_carries.py::test_bruteforce_input_validation"]),
+    ("collision-order", PKG + "carries.py",
+     "for a in sorted(digit_set):",
+     "for a in digit_set:",
+     ["tests/test_carries.py::test_bruteforce_input_validation"]),
     ("tv-sum", PKG + "simulate.py",
      "sum(abs(Fraction(x) - Fraction(y))",
      "sum((Fraction(x) - Fraction(y))",
@@ -225,7 +234,7 @@ MUTANTS += _cost_rows()
 
 def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
-    for name in ("src", "tests", "tools"):
+    for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest)
 
