@@ -82,21 +82,20 @@ def run_chain(cfg: SimConfig, exact: list[Fraction]) -> SimResult:
     """
     spec = cfg.spec
     size, draw = digit_sum_draw(spec.digits, spec.n)
-    base = spec.base
     states = state_space(spec)
     # The chain from 0 never leaves the proven carry range; doing so is a bug.
     lo, hi = states[0], states[-1]
 
     randrange = random.Random(cfg.seed).randrange
-    # The output digit is the one congruent to total mod b.
+    # Column total t = c + S has output digit a = d + (t - d) mod b, which
+    # leaves the carry (t - a) / base = sign * floor((t - d) / b).
     d, b = spec.d, spec.base_magnitude
+    sign = -1 if spec.negative else 1
     burn_in = cfg.burn_in
     c = 0
     counts: dict[int, int] = {}
     for step in range(cfg.steps):
-        total = c + draw(randrange(size))
-        a = d + (total - d) % b
-        c = (total - a) // base
+        c = sign * ((c + draw(randrange(size)) - d) // b)
         if not lo <= c <= hi:
             raise RuntimeError(
                 f"carry {c} left the state space [{lo}, {hi}] at step {step}")

@@ -1,11 +1,14 @@
-"""Fixtures the test modules share: chain specs, exact matrices from integer
-tables, the golden CLI requests, an in-process CLI runner, the two checks
-that Tier-1 and tools/oracle_sweep.py run over their own grids (the
-closed-form transition matrix against the brute-force oracle, and the exact
-diagonalization), and a carry chain enumerated from every digit tuple."""
+"""Fixtures the test modules share: grids of carry chains, exact matrices
+from integer tables, the golden CLI requests, in-process and child-process
+runners, the three checks that Tier-1 and tools/oracle_sweep.py run over
+their own grids (closed form against oracle, exact diagonalization, Holte's
+product rule), and a carry chain enumerated from every digit tuple."""
 
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import carrychain.cli as cli
@@ -48,8 +51,11 @@ GOLDEN_CASES = [
 ]
 
 
-def spec(b, d, n, negative=False):
-    return ChainSpec(b, d, n, negative)
+def chains(bases, summands):
+    """ChainSpec(b, d, n, negative) for both signs, every b in bases, every
+    least digit d from 1 - b to 0 and every n in summands."""
+    return (ChainSpec(b, d, n, negative) for negative in (False, True)
+            for b in bases for d in range(1 - b, 1) for n in summands)
 
 
 def frac_matrix(rows, denom):
@@ -60,6 +66,15 @@ def run_cli(argv, capsys):
     """Exit code and stdout of one in-process CLI run."""
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+def run_python(*args):
+    """Run a fresh interpreter on args, with the carrychain package these
+    tests import ahead of the caller's PYTHONPATH."""
+    root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def oracle_mismatch(spec):
@@ -81,6 +96,27 @@ def diagonalization_failures(spec):
     """Names of the verify_diagonalization verdicts that fail for spec."""
     report = verify_diagonalization(spec)
     return [name for name, v in report.verdicts.items() if not v.passed]
+
+
+def product_rule_failures(bases, summands):
+    """Holte's product rule P(s1) P(s2) = P(s) on every pair s1, s2 of
+    chains(bases, [n]), n in summands, where s, whose digits are the
+    x1 + base1 x2, shares their state space: the failing (s1, s2, s) and
+    how many triples were checked. Holte (1997) proves the rule for the
+    standard digits and positive bases; the rest is an extension."""
+    failures, checked = [], 0
+    for n in summands:
+        for s1, s2 in itertools.product(chains(bases, [n]), repeat=2):
+            least = min(x1 + s1.base * x2
+                        for x1 in s1.digits for x2 in s2.digits)
+            s = ChainSpec(s1.base_magnitude * s2.base_magnitude, least, n,
+                          s1.negative != s2.negative)
+            if state_space(s1) == state_space(s2) == state_space(s):
+                checked += 1
+                if transition_matrix(s1) @ transition_matrix(s2) != (
+                        transition_matrix(s)):
+                    failures.append((s1, s2, s))
+    return failures, checked
 
 
 def enumerate_carry_chain(base, summand_digits, output_digits, n):

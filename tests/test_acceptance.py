@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import carrychain.spectral
 from carrychain.carries import (
+    ChainSpec,
     p_param,
     state_space,
     transition_matrix,
@@ -26,12 +27,12 @@ from carrychain.uniformsum import interval_prob
 from cases import (
     GOLDEN,
     GOLDEN_CASES,
+    chains,
     diagonalization_failures,
     enumerate_carry_chain,
     frac_matrix,
     oracle_mismatch,
     run_cli,
-    spec,
 )
 from eulerian_identities import array_recurrence_check, row_sums, symmetry_check
 from polynomials import poly_divmod, poly_mul, poly_scale
@@ -113,7 +114,7 @@ REFERENCE_SYSTEMS = [
 def test_criterion_02_matrix_reproduction():
     bad = []
     for b, d, n, nums, denom, vrows in REFERENCE_SYSTEMS:
-        s = spec(b, d, n)
+        s = ChainSpec(b, d, n)
         P = transition_matrix(s)
         if P != frac_matrix(nums, denom):
             bad.append(("P", b, d, n))
@@ -127,27 +128,15 @@ def test_criterion_02_matrix_reproduction():
 
 
 def test_criterion_03_diagonalization_grid():
-    bad = []
-    for negative in (False, True):
-        for b in range(2, 12):
-            for d in range(-(b - 1), 1):
-                for n in range(1, 6):
-                    failed = diagonalization_failures(spec(b, d, n, negative))
-                    if failed:
-                        bad.append((b, d, n, negative, failed))
+    bad = [(s, failed) for s in chains(range(2, 12), range(1, 6))
+           if (failed := diagonalization_failures(s))]
     verdict(3, "diagonalization grid", not bad, f"failures: {bad}")
 
 
 def test_criterion_04_oracle_equivalence():
     # Every system with |b| <= 16 and n <= 10: 2,700 of them.
-    bad = []
-    for negative in (False, True):
-        for b in range(2, 17):
-            for d in range(-(b - 1), 1):
-                for n in range(1, 11):
-                    what = oracle_mismatch(spec(b, d, n, negative))
-                    if what is not None:
-                        bad.append((b, d, n, negative, what))
+    bad = [(s, what) for s in chains(range(2, 17), range(1, 11))
+           if (what := oracle_mismatch(s)) is not None]
     verdict(4, "oracle equivalence", not bad, f"failures: {bad}")
 
 
@@ -257,9 +246,9 @@ def test_criterion_07_uniform_sum_identity():
 
 def test_criterion_08_commutative_family():
     pairs = [
-        (spec(3, -1, 2), spec(9, -4, 2)),          # both p = 2
-        (spec(5, -1, 3), spec(9, -2, 3)),          # scaled via K -> 2K
-        (spec(11, -3, 3), spec(21, -6, 3)),        # both p = 5/3
+        (ChainSpec(3, -1, 2), ChainSpec(9, -4, 2)),      # both p = 2
+        (ChainSpec(5, -1, 3), ChainSpec(9, -2, 3)),      # scaled via K -> 2K
+        (ChainSpec(11, -3, 3), ChainSpec(21, -6, 3)),    # both p = 5/3
     ]
     bad = []
     for a, b in pairs:
@@ -271,7 +260,7 @@ def test_criterion_08_commutative_family():
 def test_criterion_09_simulation_statistics():
     problems = []
     for b, d, n, seed in ((3, -1, 2, 42), (5, -1, 3, 2024)):
-        s = spec(b, d, n)
+        s = ChainSpec(b, d, n)
         cfg = SimConfig(s, steps=10 ** 6, seed=seed)
         exact = chain_stationary(s)
         first = run_chain(cfg, exact=exact)

@@ -21,7 +21,13 @@ from carrychain.carries import (
     transition_matrix_bruteforce,
 )
 from carrychain.exactmath import ExactMatrix
-from cases import enumerate_carry_chain, frac_matrix, oracle_mismatch, spec
+from cases import (
+    chains,
+    enumerate_carry_chain,
+    frac_matrix,
+    oracle_mismatch,
+    product_rule_failures,
+)
 
 
 def test_digit_set_and_signed_base():
@@ -44,45 +50,42 @@ def test_invalid_systems_rejected():
 
 
 def test_centroid_offset():
-    assert spec(3, -1, 2).centroid_offset == Fraction(-1, 2)
-    assert spec(10, 0, 2).centroid_offset == 0
-    assert spec(3, -1, 2, negative=True).centroid_offset == Fraction(-1, 2)
-    assert spec(6, -3, 2).centroid_offset == Fraction(-3, 5)
+    assert ChainSpec(3, -1, 2).centroid_offset == Fraction(-1, 2)
+    assert ChainSpec(10, 0, 2).centroid_offset == 0
+    assert ChainSpec(3, -1, 2, negative=True).centroid_offset == Fraction(-1, 2)
+    assert ChainSpec(6, -3, 2).centroid_offset == Fraction(-3, 5)
 
 
 def test_state_space_examples():
-    assert state_space(spec(3, -1, 2)) == range(-1, 2)
-    assert state_space(spec(10, 0, 4)) == range(0, 4)
-    assert state_space(spec(3, -1, 2, negative=True)) == range(-1, 2)
+    assert state_space(ChainSpec(3, -1, 2)) == range(-1, 2)
+    assert state_space(ChainSpec(10, 0, 4)) == range(0, 4)
+    assert state_space(ChainSpec(3, -1, 2, negative=True)) == range(-1, 2)
 
 
 def test_state_space_size_rule():
     # n+1 states when (n-1)l is fractional, n states when integral.
-    assert len(state_space(spec(3, -1, 2))) == 3        # l = -1/2
-    assert len(state_space(spec(3, -1, 3))) == 3        # (n-1)l = -1
-    assert len(state_space(spec(10, 0, 7))) == 7        # l = 0
+    assert len(state_space(ChainSpec(3, -1, 2))) == 3      # l = -1/2
+    assert len(state_space(ChainSpec(3, -1, 3))) == 3      # (n-1)l = -1
+    assert len(state_space(ChainSpec(10, 0, 7))) == 7      # l = 0
     # So (n, p) fixes the size: n states exactly when p = 1.
-    for b in range(2, 9):
-        for d in range(-(b - 1), 1):
-            for n in range(1, 6):
-                for neg in (False, True):
-                    s = spec(b, d, n, negative=neg)
-                    assert len(state_space(s)) == n + (p_param(s) != 1)
+    for s in chains(range(2, 9), range(1, 6)):
+        assert len(state_space(s)) == s.n + (p_param(s) != 1)
 
 
 def test_p_param_examples():
-    assert p_param(spec(3, -1, 2)) == 2
-    assert p_param(spec(6, -3, 2)) == Fraction(5, 3)
-    assert p_param(spec(10, 0, 3)) == 1
-    assert p_param(spec(3, -1, 3)) == 1
+    assert p_param(ChainSpec(3, -1, 2)) == 2
+    assert p_param(ChainSpec(6, -3, 2)) == Fraction(5, 3)
+    assert p_param(ChainSpec(10, 0, 3)) == 1
+    assert p_param(ChainSpec(3, -1, 3)) == 1
 
 
 def test_p_param_negative_base():
-    assert p_param(spec(3, -1, 2, negative=True)) == 2
+    assert p_param(ChainSpec(3, -1, 2, negative=True)) == 2
 
 
 def test_transition_matrix_rows_stochastic():
-    for s in (spec(7, -1, 4), spec(11, -3, 3), spec(4, -2, 3, negative=True)):
+    for s in (ChainSpec(7, -1, 4), ChainSpec(11, -3, 3),
+              ChainSpec(4, -2, 3, negative=True)):
         P = transition_matrix(s)
         ones = ExactMatrix([[1]] * P.rows)
         assert P @ ones == ones
@@ -90,7 +93,7 @@ def test_transition_matrix_rows_stochastic():
 
 
 def test_entry_denominators_divide_base_power():
-    s = spec(5, -2, 3)
+    s = ChainSpec(5, -2, 3)
     P = transition_matrix(s)
     for row in P.to_lists():
         for x in row:
@@ -110,7 +113,7 @@ def test_bruteforce_matches_formula_random_systems(data):
     d = data.draw(st.integers(-(b - 1), 0), label="d")
     n = data.draw(st.integers(1, 12), label="n")
     negative = data.draw(st.booleans(), label="negative")
-    assert oracle_mismatch(spec(b, d, n, negative)) is None
+    assert oracle_mismatch(ChainSpec(b, d, n, negative)) is None
 
 
 def test_bruteforce_matches_enumeration_on_random_complete_digit_sets():
@@ -224,31 +227,12 @@ def test_find_system_rejects_degenerate_inputs():
 
 def test_matrix_depends_only_on_shift_class():
     # Same (b, n, p) forces the same matrix even for different least digits.
-    a = transition_matrix(spec(3, -1, 3))
-    b = transition_matrix(spec(3, 0, 3))
-    assert p_param(spec(3, -1, 3)) == p_param(spec(3, 0, 3)) == 1
+    a = transition_matrix(ChainSpec(3, -1, 3))
+    b = transition_matrix(ChainSpec(3, 0, 3))
+    assert p_param(ChainSpec(3, -1, 3)) == p_param(ChainSpec(3, 0, 3)) == 1
     assert a == b
 
 
 def test_product_rule_for_offset_and_negative_bases():
-    # Holte (1997) proves P(b1) P(b2) = P(b1 b2) for the standard digits
-    # {0, ..., b-1} and positive bases. This extends it to offset digits and
-    # negative bases: the pair (x1, x2) of digits is the one digit
-    # x1 + base1 x2 of base base1 base2, and those digits run over
-    # {D, ..., D + b1 b2 - 1}, D their least. The source paper's abstract
-    # claims no such rule, so this is an extension, checked wherever the
-    # three chains share one state space.
-    checked = 0
-    signs = (False, True)
-    for b1, b2, neg1, neg2, n in itertools.product(
-            range(2, 6), range(2, 6), signs, signs, range(1, 6)):
-        for d1, d2 in itertools.product(range(1 - b1, 1), range(1 - b2, 1)):
-            s1, s2 = spec(b1, d1, n, neg1), spec(b2, d2, n, neg2)
-            least = min(x1 + s1.base * x2
-                        for x1 in s1.digits for x2 in s2.digits)
-            s = spec(b1 * b2, least, n, neg1 != neg2)
-            if state_space(s1) == state_space(s2) == state_space(s):
-                assert (transition_matrix(s1) @ transition_matrix(s2)
-                        == transition_matrix(s)), (s1, s2)
-                checked += 1
-    assert checked == 1572
+    # Holte (1997), extended to offset digits and negative bases.
+    assert product_rule_failures(range(2, 6), range(1, 6)) == ([], 1572)

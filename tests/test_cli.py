@@ -5,9 +5,6 @@ import gc
 import importlib
 import io
 import json
-import os
-import pathlib
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -20,9 +17,9 @@ import carrychain.cli as cli
 import carrychain.simulate
 import carrychain.spectral
 import carrychain.tables as tables
-from carrychain.carries import transition_matrix
+from carrychain.carries import ChainSpec, transition_matrix
 from carrychain.exactmath import ExactMatrix
-from cases import GOLDEN, GOLDEN_CASES, run_cli, spec
+from cases import GOLDEN, GOLDEN_CASES, chains, run_cli, run_python
 from eulerian_identities import row_sums
 
 # The same requests rendered as csv and pretty text, pinned byte for byte.
@@ -151,19 +148,13 @@ def test_verify_corrupted_matrix_exits_one(monkeypatch, capsys):
         assert " entries in " in detail, name
 
 
-def python_m(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on the carrychain package these tests import."""
-    root = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-
-
 def test_python_m_keeps_output_and_exit_codes():
-    proc = python_m("-m", "carrychain.cli", *dict(GOLDEN_CASES)["verify.json"])
+    proc = run_python("-m", "carrychain.cli",
+                      *dict(GOLDEN_CASES)["verify.json"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, (GOLDEN / "verify.json").read_text(), "")
-    proc = python_m("-m", "carrychain.cli", "find-system", "--p", "1/2", "--n", "3")
+    proc = run_python("-m", "carrychain.cli", "find-system", "--p", "1/2",
+                      "--n", "3")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "error: p must be >= 1, got 1/2\n")
 
@@ -190,7 +181,7 @@ def test_internal_error_exits_three(monkeypatch, capsys):
             assert cli.main(argv) == 3
         assert capsys.readouterr() == ("", f"internal error: {msg}\n")
     _, _, _, argv, msg = cases[0]
-    proc = python_m("-c", f"""if True:
+    proc = run_python("-c", f"""if True:
         import runpy, sys
         import carrychain.carries
         carrychain.carries.p_param = lambda spec: 0
@@ -513,7 +504,7 @@ def test_matrix_digits_carry_window_grows_with_n(capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["states"] == list(range(40))
-    closed = transition_matrix(spec(2, 0, 40))
+    closed = transition_matrix(ChainSpec(2, 0, 40))
     assert payload["matrix"] == _jsonify(closed)
 
 
@@ -568,13 +559,11 @@ def _documents(argv):
 
 
 def _json_render_argvs():
-    for b in range(2, 8):
-        for d in range(-(b - 1), 1):
-            for n in range(1, 7):
-                for neg in ([], ["--negative"]):
-                    system = ["--base", str(b), "--d", str(d), "--n", str(n), *neg]
-                    yield ["verify", *system]
-                    yield ["matrix", *system, "--char-poly"]
+    for s in chains(range(2, 8), range(1, 7)):
+        system = ["--base", str(s.base_magnitude), "--d", str(s.d),
+                  "--n", str(s.n), *(["--negative"] if s.negative else [])]
+        yield ["verify", *system]
+        yield ["matrix", *system, "--char-poly"]
     yield ["matrix", "--base", "3", "--digits=-1,0,4", "--n", "3", "--char-poly"]
     yield ["triangle", "--p", "5/3", "--n-max", "5"]
     yield ["find-system", "--p", "7/2", "--n", "3"]

@@ -14,7 +14,7 @@ from carrychain.exactmath import (
     determinant,
     ratio_text,
 )
-from cases import spec
+from cases import chains
 from polynomials import poly_degree, poly_divmod, poly_eval, poly_mul, poly_scale
 
 rationals = st.fractions(
@@ -226,18 +226,14 @@ def test_char_poly_matches_interpolated_determinant(a):
 def test_char_poly_matches_interpolation_on_carry_chains():
     # Each closed-form chain's polynomial is also the paper's spectrum
     # expanded, prod_{k<m} (x - base^-k), for either sign of the base.
-    for negative in (False, True):
-        for b in range(2, 8):
-            for d in range(-(b - 1), 1):
-                for n in range(1, 7):
-                    s = spec(b, d, n, negative)
-                    P = transition_matrix(s)
-                    got = char_poly(P)
-                    assert got == interpolated_char_poly(P), (b, d, n, negative)
-                    want = ExactPolynomial([1])
-                    for k in range(P.rows):
-                        want = poly_mul(want, ExactPolynomial(
-                            [-Fraction(1, s.base ** k), 1]))
-                    assert got == want, (b, d, n, negative)
+    for s in chains(range(2, 8), range(1, 7)):
+        P = transition_matrix(s)
+        got = char_poly(P)
+        assert got == interpolated_char_poly(P), s
+        want = ExactPolynomial([1])
+        for k in range(P.rows):
+            want = poly_mul(want, ExactPolynomial(
+                [-Fraction(1, s.base ** k), 1]))
+        assert got == want, s
     _, P = transition_matrix_bruteforce(3, [-1, 0, 4], 2)
     assert char_poly(P) == interpolated_char_poly(P)

@@ -1,9 +1,5 @@
 """Tests for the package's export list, import footprint and record types."""
 
-import os
-import pathlib
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -13,8 +9,7 @@ from carrychain.carries import ChainSpec
 from carrychain.exactmath import ExactMatrix
 from carrychain.simulate import SimConfig, SimResult
 from carrychain.spectral import ChainReport, CheckResult
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+from cases import run_python
 
 
 def test_export_list_resolves():
@@ -37,10 +32,7 @@ def test_export_list_resolves():
 def _imported(*args: str, code: int = 0) -> set[str]:
     """Modules a fresh interpreter imports running args, which must exit with
     code, read off -X importtime."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True)
+    proc = run_python("-X", "importtime", *args)
     assert proc.returncode == code, proc.stderr[-500:]
     return {line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines()

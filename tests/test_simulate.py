@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from carrychain.carries import _digit_sum_counts, state_space
+from carrychain.carries import ChainSpec, _digit_sum_counts, state_space
 from carrychain.simulate import (
     GENERATOR_ALGORITHM,
     SimConfig,
@@ -13,7 +13,6 @@ from carrychain.simulate import (
     tv_distance,
 )
 from carrychain.spectral import chain_stationary
-from cases import spec
 
 
 def test_tv_distance_trivials():
@@ -28,7 +27,7 @@ def test_tv_distance_length_mismatch():
 
 
 def test_config_validation():
-    s = spec(3, -1, 2)
+    s = ChainSpec(3, -1, 2)
     with pytest.raises(ValueError):
         SimConfig(s, steps=0, seed=1)
     with pytest.raises(ValueError):
@@ -38,20 +37,20 @@ def test_config_validation():
 
 
 def test_visited_carries_stay_in_state_space():
-    s = spec(3, -1, 2)
+    s = ChainSpec(3, -1, 2)
     result = run_chain(SimConfig(s, steps=20_000, seed=11), chain_stationary(s))
     assert set(result.counts) <= set(state_space(s))
     assert sum(result.counts.values()) == result.samples == 19_000
 
 
 def test_single_summand_classical_base_has_no_carry():
-    s = spec(10, 0, 1)
+    s = ChainSpec(10, 0, 1)
     result = run_chain(SimConfig(s, steps=5_000, seed=3), chain_stationary(s))
     assert set(result.counts) == {0}
 
 
 def test_determinism_same_seed():
-    s = spec(5, -1, 3)
+    s = ChainSpec(5, -1, 3)
     cfg = SimConfig(s, steps=50_000, seed=99)
     exact = chain_stationary(s)
     a = run_chain(cfg, exact=exact)
@@ -75,7 +74,7 @@ def test_digit_sum_draw_hits_each_sum_exactly_its_count(digits, n):
 
 
 def test_different_seeds_differ():
-    s = spec(3, -1, 2)
+    s = ChainSpec(3, -1, 2)
     exact = chain_stationary(s)
     a = run_chain(SimConfig(s, steps=50_000, seed=1), exact)
     b = run_chain(SimConfig(s, steps=50_000, seed=2), exact)
@@ -83,14 +82,17 @@ def test_different_seeds_differ():
 
 
 def test_negative_base_simulation_converges():
-    s = spec(3, -1, 2, negative=True)
-    exact = chain_stationary(s)
-    result = run_chain(SimConfig(s, steps=200_000, seed=7), exact=exact)
-    assert set(result.counts) <= set(state_space(s))
-    assert result.tv_distance < 0.01
+    # Base -3 with digits {-1, 0, 1} is symmetric: a carry of the wrong sign
+    # has the same law. Base -4 with digits {-1, 0, 1, 2} is not.
+    for s in (ChainSpec(3, -1, 2, negative=True),
+              ChainSpec(4, -1, 4, negative=True)):
+        exact = chain_stationary(s)
+        result = run_chain(SimConfig(s, steps=200_000, seed=7), exact=exact)
+        assert set(result.counts) <= set(state_space(s)), s
+        assert result.tv_distance < 0.01, s
 
 
 def test_empirical_frequencies_sum_to_one():
-    s = spec(6, -3, 2)
+    s = ChainSpec(6, -3, 2)
     result = run_chain(SimConfig(s, steps=30_000, seed=4), chain_stationary(s))
     assert abs(sum(result.empirical.values()) - 1) < 1e-12

@@ -176,8 +176,12 @@ MUTANTS = [
      "if False:",
      ["tests/test_cli.py::test_internal_error_exits_three"]),
     ("sim-output-digit", PKG + "simulate.py",
-     "a = d + (total - d) % b",
-     "a = total % b",
+     "(c + draw(randrange(size)) - d) // b",
+     "(c + draw(randrange(size))) // b",
+     ["tests/test_simulate.py"]),
+    ("sim-base-sign", PKG + "simulate.py",
+     "sign = -1 if spec.negative else 1",
+     "sign = 1",
      ["tests/test_simulate.py"]),
     ("zero-digit-check", PKG + "carries.py",
      "if not (d <= 0 <= d + b - 1):",
