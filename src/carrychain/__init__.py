@@ -18,7 +18,7 @@ _EXPORTS = {
         ("eulerian", "stationary triangle_recurrence v_closed"),
         ("exactmath", "ExactMatrix ExactPolynomial char_poly determinant"),
         ("simulate", "SimConfig SimResult run_chain tv_distance"),
-        ("spectral", "ChainReport chain_spectrum commutes eigen_matrix "
+        ("spectral", "ChainReport chain_spectrum eigen_matrix "
                      "verify_diagonalization"),
         ("uniformsum", "interval_prob irwin_hall_cdf"),
     )

@@ -58,11 +58,6 @@ class ExactMatrix:
         return (isinstance(other, ExactMatrix)
                 and self._den == other._den and self._num == other._num)
 
-    def __repr__(self) -> str:
-        rows = ["[" + ", ".join(f"Fraction({x}, {d})" for x, d in row) + "]"
-                for row in self.ratios()]
-        return f"ExactMatrix([{', '.join(rows)}])"
-
     def _common(self) -> tuple[int, list[list[int]]]:
         """(B, B * self) with B the lcm of the row denominators."""
         big = lcm(*self._den)

@@ -115,17 +115,3 @@ def verify_diagonalization(spec: ChainSpec) -> ChainReport:
     return ChainReport(spec=spec, states=list(states), p=p, P=P, V=V,
                        spectrum=spectrum, pi=pi, verdicts=verdicts)
 
-
-def commutes(spec1: ChainSpec, spec2: ChainSpec) -> bool:
-    """Exact check that two same-(n, p) chains have commuting matrices.
-
-    (n, p) fixes the state count: n states when p = 1, else n + 1.
-    """
-    if spec1.n != spec2.n:
-        raise ValueError(f"summand counts differ: {spec1.n} != {spec2.n}")
-    if p_param(spec1) != p_param(spec2):
-        raise ValueError(
-            f"parameters differ: {p_param(spec1)} != {p_param(spec2)}")
-    p1 = transition_matrix(spec1)
-    p2 = transition_matrix(spec2)
-    return p1 @ p2 == p2 @ p1

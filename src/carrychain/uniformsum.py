@@ -14,21 +14,17 @@ import math
 from fractions import Fraction
 
 
-def _cdf(n: int, x):
-    # Irwin-Hall sum: exact for a Fraction x, double precision for a float x.
-    if x <= 0:
-        return type(x)(0)
-    if x >= n:
-        return type(x)(1)
-    return sum((-1) ** k * math.comb(n, k) * (x - k) ** n
-               for k in range(math.floor(x) + 1)) / math.factorial(n)
-
-
 def irwin_hall_cdf(n: int, x) -> Fraction:
     """Pr(sum of n i.i.d. uniform [0,1] variables <= x), exact for rational x."""
     if n < 1:
         raise ValueError(f"need at least one summand, got n={n}")
-    return _cdf(n, Fraction(x))
+    x = Fraction(x)
+    if x <= 0:
+        return Fraction(0)
+    if x >= n:
+        return Fraction(1)
+    return sum((-1) ** k * math.comb(n, k) * (x - k) ** n
+               for k in range(math.floor(x) + 1)) / math.factorial(n)
 
 
 def _check_p(p) -> Fraction:
@@ -69,12 +65,3 @@ def interval_probs(n: int, p) -> list[Fraction]:
     total = K ** n * math.factorial(n)
     return [Fraction(hi - lo, total) for lo, hi in zip(num, num[1:])]
 
-
-def interval_prob_float(n: int, p: float, k: int) -> float:
-    """Floating-point interval probability for exploratory irrational p.
-
-    NOT exact: this is an ordinary double-precision evaluation for
-    parameters outside the rational theory. Use interval_prob for anything
-    that feeds a test or a verification.
-    """
-    return _cdf(n, 1 / p + k) - _cdf(n, 1 / p + k - 1)

@@ -1,25 +1,29 @@
 """Fixtures the test modules share: grids of carry chains, exact matrices
 from integer tables, the golden CLI requests, in-process and child-process
-runners, the three checks that Tier-1 and tools/oracle_sweep.py run over
+runners, the five checks that Tier-1 and tools/oracle_sweep.py run over
 their own grids (closed form against oracle, exact diagonalization, Holte's
-product rule), and a carry chain enumerated from every digit tuple."""
+product rule, commutation, det V in closed form), and a carry chain
+enumerated from every digit tuple."""
 
 import itertools
 import os
 import pathlib
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
+from math import prod
 
 import carrychain.cli as cli
 from carrychain.carries import (
     ChainSpec,
+    p_param,
     state_space,
     transition_matrix,
     transition_matrix_bruteforce,
 )
-from carrychain.exactmath import ExactMatrix
-from carrychain.spectral import verify_diagonalization
+from carrychain.exactmath import ExactMatrix, determinant
+from carrychain.spectral import eigen_matrix, verify_diagonalization
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -117,6 +121,52 @@ def product_rule_failures(bases, summands):
                         transition_matrix(s)):
                     failures.append((s1, s2, s))
     return failures, checked
+
+
+def commutation_failures(bases, summands):
+    """Commutation of the transition matrices of every two chains of
+    chains(bases, summands) with equal n and p, which force equal state
+    counts: the failing pairs (s1, s2) and every pair checked. Holte (1997)
+    proves that chains of one sign commute. A positive-base chain and a
+    negative-base one commute once the latter's matrix is mirrored (J P J,
+    both state orders reversed); that is an extension."""
+    family = defaultdict(list)
+    for s in chains(bases, summands):
+        family[s.n, p_param(s)].append(s)
+    failures, pairs = [], []
+    for specs in family.values():
+        for s1, s2 in itertools.combinations(specs, 2):
+            pairs.append((s1, s2))
+            p1, p2 = transition_matrix(s1), transition_matrix(s2)
+            if s1.negative != s2.negative:
+                # J P2 J commutes with P1 iff P2 commutes with J P1 J.
+                p2 = ExactMatrix([row[::-1] for row in p2.to_lists()[::-1]])
+            if p1 @ p2 != p2 @ p1:
+                failures.append((s1, s2))
+    return failures, pairs
+
+
+def eigenbasis_det_mismatch(bases, summands):
+    """det V, by Bareiss, against its closed form for each distinct
+    (n, p, m, sign) of chains(bases, summands): the chains where the two
+    differ and how many were checked. Row i of V is the first m coefficients
+    of (1 - z)^(n+1) sum_t (pt + 1)^(n-i) z^t, so V is the Vandermonde-like
+    F[i][t] = (pt + 1)^(n-i) times a unit triangular matrix, and
+    det V = s prod_{u<t} p(t - u) prod_t (pt + 1)^(n-m+1), with
+    s = (-1)^(m(m-1)/2) for a positive base and +1 for a negative one, whose
+    columns are reversed. The closed form is derived here, an extension."""
+    seen, mismatches = set(), []
+    for s in chains(bases, summands):
+        n, p, m = s.n, p_param(s), len(state_space(s))
+        if (n, p, m, s.negative) in seen:
+            continue
+        seen.add((n, p, m, s.negative))
+        sign = 1 if s.negative else (-1) ** (m * (m - 1) // 2)
+        want = (sign * prod(p * (t - u) for t in range(m) for u in range(t))
+                * prod((p * t + 1) ** (n - m + 1) for t in range(m)))
+        if determinant(eigen_matrix(n, p, m, reverse=s.negative)) != want:
+            mismatches.append(s)
+    return mismatches, len(seen)
 
 
 def enumerate_carry_chain(base, summand_digits, output_digits, n):

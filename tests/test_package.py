@@ -16,7 +16,7 @@ def test_export_list_resolves():
     assert carrychain.__all__ == [
         "ChainReport", "ChainSpec", "ExactMatrix", "ExactPolynomial",
         "SimConfig", "SimResult", "chain_spectrum", "chain_stationary",
-        "char_poly", "commutes", "determinant", "eigen_matrix", "find_system",
+        "char_poly", "determinant", "eigen_matrix", "find_system",
         "interval_prob", "irwin_hall_cdf", "p_param", "run_chain",
         "state_space", "stationary", "transition_matrix",
         "transition_matrix_bruteforce", "triangle_recurrence", "tv_distance",
@@ -113,13 +113,13 @@ def _records():
         (config, SimConfig(spec, 2000, 7, 1000),
          "SimConfig(spec=ChainSpec(base_magnitude=5, d=-1, n=3, "
          "negative=False), steps=2000, seed=7, burn_in=1000)"),
+        # ExactMatrix keeps object's repr: no request prints one.
         (report, ChainReport(spec, [0, 1], Fraction(3, 2),
                              ExactMatrix([[1, 0], [0, 1]]), ExactMatrix([[1]]),
                              [Fraction(1)], [Fraction(1, 2)], {}),
          "ChainReport(spec=ChainSpec(base_magnitude=5, d=-1, n=3, "
          "negative=False), states=[0, 1], p=Fraction(3, 2), "
-         "P=ExactMatrix([[Fraction(1, 1), Fraction(0, 1)], [Fraction(0, 1), "
-         "Fraction(1, 1)]]), V=ExactMatrix([[Fraction(1, 1)]]), "
+         f"P={report.P!r}, V={report.V!r}, "
          "spectrum=[Fraction(1, 1)], pi=[Fraction(1, 2)], verdicts={})"),
         (result, SimResult(config, {0: 3}, {0: 0.5}, 0.25,
                            "mt19937-digit-sum-bisect"),

@@ -1,9 +1,7 @@
-"""Tests for exact diagonalization, spectra, and commutation of carry chains."""
+"""Tests for exact diagonalization and spectra of carry chains."""
 
 from fractions import Fraction
 from math import gcd
-
-import pytest
 
 import carrychain.spectral as spectral
 from carrychain.carries import (
@@ -16,11 +14,10 @@ from carrychain.exactmath import ExactMatrix, determinant
 from carrychain.spectral import (
     chain_spectrum,
     chain_stationary,
-    commutes,
     eigen_matrix,
     verify_diagonalization,
 )
-from cases import chains
+from cases import chains, eigenbasis_det_mismatch
 
 
 def spectrum_probe(P: ExactMatrix,
@@ -84,19 +81,6 @@ def test_negative_base_stationary_is_reversed():
     pos = chain_stationary(ChainSpec(3, -1, 2))
     neg = chain_stationary(ChainSpec(3, -1, 2, negative=True))
     assert neg == pos[::-1]
-
-
-def test_commutes_same_parameter():
-    assert commutes(ChainSpec(3, -1, 2), ChainSpec(9, -4, 2))
-    assert commutes(ChainSpec(5, -1, 3), ChainSpec(5, -1, 3))
-    assert commutes(ChainSpec(11, -3, 3), ChainSpec(21, -6, 3))
-
-
-def test_commutes_rejects_mismatched_chains():
-    with pytest.raises(ValueError):
-        commutes(ChainSpec(3, -1, 2), ChainSpec(3, -1, 3))
-    with pytest.raises(ValueError):
-        commutes(ChainSpec(3, -1, 2), ChainSpec(6, -3, 2))   # p = 2 vs 5/3
 
 
 def test_spectrum_probe_consecutive_chain():
@@ -168,6 +152,10 @@ def test_eigenbasis_certificate_agrees_with_determinant():
         nonsingular = determinant(report.V) != 0
         assert verdicts["eigenvector_equation"].passed
         assert verdicts["eigenbasis_nonsingular"].passed == nonsingular, s
+
+
+def test_eigenbasis_determinant_closed_form():
+    assert eigenbasis_det_mismatch(range(2, 12), range(1, 9)) == ([], 413)
 
 
 def corrupt_transition_matrix(monkeypatch, edit):

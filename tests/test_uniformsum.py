@@ -11,7 +11,6 @@ from carrychain import uniformsum
 from carrychain.eulerian import v_closed
 from carrychain.uniformsum import (
     interval_prob,
-    interval_prob_float,
     interval_probs,
     irwin_hall_cdf,
 )
@@ -107,15 +106,6 @@ def test_interval_probs_on_a_wider_p_grid():
             for n in (1, 2, 5, 15):
                 assert interval_probs(n, p) == [
                     interval_prob(n, p, j) for j in range(n + 1)], (p, n)
-
-
-def test_float_path_tracks_exact_path():
-    for p in (Fraction(1), Fraction(2), Fraction(5, 3), Fraction(7, 2)):
-        for n in (1, 3, 6):
-            for k in range(n + 1):
-                approx = interval_prob_float(n, float(p), k)
-                assert type(approx) is float
-                assert abs(approx - float(interval_prob(n, p, k))) < 1e-12
 
 
 rational_x = st.fractions(min_value=Fraction(-1), max_value=Fraction(6),

@@ -227,10 +227,6 @@ MUTANTS = [
      "(a - j * k) ** n",
      "(a - j * k) ** (n - 1)",
      ["tests/test_uniformsum.py"]),
-    ("float-interval-lower-end", PKG + "uniformsum.py",
-     "- _cdf(n, 1 / p + k - 1)",
-     "- _cdf(n, 1 / p + k - 2)",
-     ["tests/test_uniformsum.py::test_float_path_tracks_exact_path"]),
 ]
 # One per cli.COST_LIMITS row, named after its guard test case.
 MUTANTS += _cost_rows()
